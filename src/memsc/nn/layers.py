@@ -3,8 +3,16 @@
 Tensors are plain numpy arrays in row-major (B, C, H, W) layout. Each layer
 exposes forward(x, training) -> (y, cache) and
 backward(dy, cache, need_dx) -> (dx, grads); trainable layers publish their
-parameter arrays through params(). Convolutions are stride-1/no-padding and
-pooling is 2x2/stride-2, which is all the adopted architecture needs.
+parameter arrays through params(). The cache exists only for backward:
+Conv2d and MaxPool2x2 return None in eval mode (training=False), so
+inference holds no per-layer buffers. Convolutions are stride-1/no-padding
+and pooling is 2x2/stride-2, which is all the adopted architecture needs.
+
+Convolution is im2col + GEMM (Chellapilla et al. 2006) on channel-major
+columns of shape (C*k*k, B*OH*OW), whose row (c, i, j) is channel c shifted
+by kernel offset (i, j): forward is W(F, C*k*k) @ cols, dW is
+dy(F, B*OH*OW) @ cols.T, and dX adds the k*k contiguous (B, OH, OW) blocks
+of W.T @ dy back into place (col2im).
 """
 
 from __future__ import annotations
@@ -24,18 +32,6 @@ def _uniform_init(shape, fan_in, rng: RngState, dtype):
     return np.clip(w, -1.0, 1.0).astype(dtype)
 
 
-def _window_view(x, kh, kw):
-    """Strided (B, C, kh, kw, OH, OW) view of all kh x kw patches."""
-    b, c, h, w = x.shape
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        (b, c, kh, kw, h - kh + 1, w - kw + 1),
-        (s0, s1, s2, s3, s2, s3),
-        writeable=False,
-    )
-
-
 class Conv2d:
     """Stride-1 valid convolution (cross-correlation) with bias."""
 
@@ -49,26 +45,35 @@ class Conv2d:
         return {"w": self.w, "b": self.b}
 
     def forward(self, x, training=False):
-        cols = _window_view(x, self.kernel, self.kernel)
-        y = np.tensordot(cols, self.w, axes=([1, 2, 3], [1, 2, 3]))  # (B, OH, OW, F)
-        y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+        b, c, h, w = x.shape
+        k = self.kernel
+        oh, ow = h - k + 1, w - k + 1
+        xt = x.transpose(1, 0, 2, 3)
+        cols = np.empty((c, k, k, b, oh, ow), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[:, i, j] = xt[:, :, i : i + oh, j : j + ow]
+        cols = cols.reshape(c * k * k, b * oh * ow)
+        y = self.w.reshape(self.w.shape[0], -1) @ cols  # (F, B*OH*OW)
+        y = np.ascontiguousarray(y.reshape(-1, b, oh, ow).transpose(1, 0, 2, 3))
         y += self.b[None, :, None, None]
-        return y, x
+        return y, ((cols, x.shape) if training else None)
 
     def backward(self, dy, cache, need_dx=True):
-        x = cache
+        cols, (b, c, h, w) = cache
         k = self.kernel
-        cols = _window_view(x, k, k)
-        dw = np.tensordot(dy, cols, axes=([0, 2, 3], [0, 4, 5]))  # (F, C, kh, kw)
+        _, f, oh, ow = dy.shape
+        dyt = dy.transpose(1, 0, 2, 3).reshape(f, -1)  # (F, B*OH*OW)
+        dw = (dyt @ cols.T).reshape(self.w.shape)
         db = dy.sum(axis=(0, 2, 3))
         dx = None
         if need_dx:
-            # gradient w.r.t. input: full correlation with flipped kernels
-            dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            flipped = self.w[:, :, ::-1, ::-1]
-            cols_dy = _window_view(dyp, k, k)  # (B, F, kh, kw, H, W)
-            dx = np.tensordot(cols_dy, flipped, axes=([1, 2, 3], [0, 2, 3]))  # (B, H, W, C)
-            dx = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+            dcols = (self.w.reshape(f, -1).T @ dyt).reshape(c, k, k, b, oh, ow)
+            dxt = np.zeros((c, b, h, w), dtype=dcols.dtype)
+            for i in range(k):
+                for j in range(k):
+                    dxt[:, :, i : i + oh, j : j + ow] += dcols[:, i, j]
+            dx = np.ascontiguousarray(dxt.transpose(1, 0, 2, 3))
         return dx, {"w": dw.astype(self.w.dtype), "b": db.astype(self.b.dtype)}
 
 
@@ -148,34 +153,37 @@ class ReLU:
 
 
 class MaxPool2x2:
-    """2x2 max pooling with stride 2 (even spatial dims required)."""
+    """2x2 max pooling with stride 2 (even spatial dims required).
+
+    The output is the elementwise maximum of the four stride-2 quadrants.
+    Backward routes each window's gradient to its first maximal cell in
+    row-major order, (0,0), (0,1), (1,0), (1,1), and to no other: ties, such
+    as the all-zero windows left by ReLU, send the gradient to one cell only.
+    """
 
     def __init__(self, name="pool"):
         self.name = name
 
     def forward(self, x, training=False):
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-        r = (
-            x.reshape(b, c, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h // 2, w // 2, 4)
+        y = np.maximum(
+            np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+            np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
         )
-        idx = r.argmax(axis=-1)
-        y = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
-        return y, (idx, x.shape)
+        return y, ((x, y) if training else None)
 
     def backward(self, dy, cache, need_dx=True):
-        idx, shape = cache
-        b, c, h, w = shape
-        dr = np.zeros((b, c, h // 2, w // 2, 4), dtype=dy.dtype)
-        np.put_along_axis(dr, idx[..., None], dy[..., None], axis=-1)
-        dx = (
-            dr.reshape(b, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(shape)
-        )
+        x, y = cache
+        dx = np.empty(x.shape, dtype=dy.dtype)
+        free = np.ones(y.shape, dtype=bool)  # windows whose maximum is unclaimed
+        hit = np.empty(y.shape, dtype=bool)
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            np.equal(x[:, :, i::2, j::2], y, out=hit)
+            hit &= free
+            np.multiply(dy, hit, out=dx[:, :, i::2, j::2])
+            free &= ~hit
         return dx, {}
 
 

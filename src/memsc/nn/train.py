@@ -64,12 +64,6 @@ class MetricsLog:
             raise ValueError("no accuracy was logged")
         return acc[-1]
 
-    def first_e_grad_stat(self) -> float:
-        for r in self.records:
-            if r.e_grad_stat is not None:
-                return r.e_grad_stat
-        raise ValueError("no e_grad_stat was logged")
-
     def __len__(self):
         return len(self.records)
 

@@ -48,9 +48,5 @@ class RngState:
             )
         return self._generator
 
-    def integer(self, bound: int = 2**31) -> int:
-        """A deterministic integer in [0, bound) derived from this stream."""
-        return int(_label_entropy(self.seed, self.labels) % bound)
-
     def __repr__(self):
         return f"RngState(seed={self.seed}, labels={self.labels!r})"

@@ -61,6 +61,47 @@ def test_conv2d_gradients():
     check_layer(layer, x, layer.params())
 
 
+def conv_reference(x, w, b, dy):
+    """float64 forward, dW, db and dX of a valid conv, one output pixel at a time."""
+    x, w, dy = (a.astype(np.float64) for a in (x, w, dy))
+    k = w.shape[-1]
+    oh, ow = dy.shape[2:]
+    y = np.empty(dy.shape)
+    dw = np.zeros(w.shape)
+    dx = np.zeros(x.shape)
+    for r in range(oh):
+        for s in range(ow):
+            window = x[:, :, r : r + k, s : s + k]  # (B, C, k, k)
+            y[:, :, r, s] = np.einsum("bcij,fcij->bf", window, w) + b
+            dw += np.einsum("bf,bcij->fcij", dy[:, :, r, s], window)
+            dx[:, :, r : r + k, s : s + k] += np.einsum("bf,fcij->bcij", dy[:, :, r, s], w)
+    return y, dw, dy.sum(axis=(0, 2, 3)), dx
+
+
+def check_conv_against_reference(x, out_ch, kernel, dtype, rtol):
+    gen = np.random.default_rng(13)
+    layer = Conv2d("c", x.shape[1], out_ch, kernel, RngState(14).split("c"), dtype=dtype)
+    layer.b[...] = gen.normal(size=out_ch)
+    y, cache = layer.forward(x, training=True)
+    dy = gen.normal(size=y.shape).astype(dtype)
+    dx, grads = layer.backward(dy, cache, need_dx=True)
+    ref = conv_reference(x, layer.w, layer.b, dy)
+    for got, want in zip((y, grads["w"], grads["b"], dx), ref):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+def test_conv2d_layout_non_square_batched():
+    # distinct B, C, F, H and W catch an axis swap the square gradient check cannot
+    x = np.random.default_rng(15).normal(size=(3, 4, 12, 9))
+    check_conv_against_reference(x, out_ch=5, kernel=5, dtype=np.float64, rtol=1e-12)
+
+
+def test_conv2d_float32_table1_conv2_shape():
+    x = np.random.default_rng(16).normal(size=(256, 10, 12, 12)).astype(np.float32)
+    check_conv_against_reference(x, out_ch=20, kernel=5, dtype=np.float32, rtol=1e-5)
+
+
 def test_linear_gradients():
     layer = Linear("l", 7, 4, RngState(12).split("l"), dtype=np.float64)
     x = np.random.default_rng(1).normal(size=(5, 7))
@@ -90,6 +131,30 @@ def test_maxpool_constant_plane():
     y, _ = MaxPool2x2().forward(x)
     assert np.allclose(y, 0.7)
     assert y.shape == (1, 1, 2, 2)
+
+
+def test_maxpool_ties_route_to_first_maximum():
+    # post-ReLU data is full of all-zero windows; add windows whose maximum
+    # is shared by two cells in each arrangement
+    gen = np.random.default_rng(17)
+    x = np.maximum(gen.normal(size=(2, 3, 6, 8)), 0.0)
+    x[0, 0, 0:2, 0:2] = 0.0
+    x[0, 1, 0:2, 2:4] = [[0.5, 0.9], [0.9, 0.1]]  # (0,1) and (1,0)
+    x[1, 2, 2:4, 4:6] = [[0.3, 0.2], [0.7, 0.7]]  # (1,0) and (1,1)
+    x[1, 0, 4:6, 6:8] = [[0.4, 0.1], [0.2, 0.4]]  # (0,0) and (1,1)
+    pool = MaxPool2x2()
+    y, cache = pool.forward(x, training=True)
+    dy = gen.integers(-9, 10, size=y.shape).astype(np.float64)
+    dy[dy == 0] = 1.0  # a zero gradient would hide where it was routed
+    dx, _ = pool.backward(dy, cache)
+    expected = np.zeros_like(x)
+    for b, c, r, s in np.ndindex(*y.shape):
+        window = x[b, c, 2 * r : 2 * r + 2, 2 * s : 2 * s + 2]
+        first = next(idx for idx in np.ndindex(2, 2) if window[idx] == window.max())
+        expected[b, c, 2 * r + first[0], 2 * s + first[1]] = dy[b, c, r, s]
+    assert np.array_equal(dx, expected)
+    assert dx.sum() == dy.sum()
+    assert np.count_nonzero(dx) == dy.size
 
 
 def test_pool_requires_even_dims():
@@ -198,6 +263,16 @@ def test_conv_pool_size_arithmetic():
     assert y.shape[-1] == 28 - 4
     p, _ = net.layers[3].forward(y)
     assert p.shape[-1] == 12
+
+
+def test_eval_mode_keeps_no_conv_or_pool_cache():
+    # Network.forward holds every cache until it returns, so eval mode must
+    # not keep im2col columns or pooling inputs alive
+    net = table1_network(RngState(6))
+    _, caches = net.forward(np.zeros((2, 1, 28, 28), dtype=np.float32), training=False)
+    for layer, cache in zip(net.layers, caches):
+        if isinstance(layer, (Conv2d, MaxPool2x2)):
+            assert cache is None, layer.name
 
 
 def test_forward_zero_image_finite_logits():
