@@ -16,12 +16,16 @@ the published constants this yields ~399 uW per gradient stream, not the
 published 43.0 uW; no bridging duty-cycle assumption is published. A single
 calibration scalar kappa (default 0.108) maps the raw value onto the
 published per-stream powers, and reports always carry both numbers.
+
+The paper puts its SC MAC (one XNOR and one MUX, 58 ps) at 1e5 times less
+area and 1e2 times less delay than a 16-bit binary MAC.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,13 +37,12 @@ __all__ = [
     "TileConfig",
     "ArrayPlan",
     "GenerationStats",
+    "AreaReport",
     "CostReport",
-    "MacComparison",
     "plan_array",
     "generate_stream",
     "area_report",
     "power_report",
-    "mac_comparison",
     "DEFAULT_KAPPA",
 ]
 
@@ -50,45 +53,36 @@ DEFAULT_KAPPA = 0.108
 class TileConfig:
     """Geometry and electrical constants of the 40 nm RRAM macro."""
 
-    rows: int = 128
     cols: int = 128
     tile_area_um2: float = 2.77e3
-    pitch_nm: float = 410.0
     p_on_w: float = 45e-9        # LDMOS on-cell draw at 4.5 V
     p_off_w: float = 0.45e-9
-    xnor_area_um2: float = 0.670 * 0.355   # single gate, pitch-matched
     xnor_total_area_mm2: float = 0.031     # full multiplier datapath
     adder_register_area_mm2: float = 0.0735
-    sense_amp_area_um2: float = 0.41
     sense_amp_total_area_mm2: float = 0.0267
-    mac_delay_ps: float = 58.0
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("tile dimensions must be positive")
         for name in (
-            "tile_area_um2", "pitch_nm", "p_on_w", "p_off_w", "xnor_area_um2",
-            "xnor_total_area_mm2", "adder_register_area_mm2",
-            "sense_amp_area_um2", "sense_amp_total_area_mm2", "mac_delay_ps",
+            "cols", "tile_area_um2", "p_on_w", "p_off_w", "xnor_total_area_mm2",
+            "adder_register_area_mm2", "sense_amp_total_area_mm2",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def bits_per_tile(self) -> int:
-        return self.rows * self.cols
 
-
-@dataclass
+@dataclass(frozen=True)
 class ArrayPlan:
     """Tile allocation for a bit-stream configuration."""
 
     n_bit: int
     n_streams: int
     tiles_per_stream: int
-    pingpong_factor: int = 2
-    total_tiles: int = 0
-    time_mux_steps: int = 2
+    pingpong_factor: ClassVar[int] = 2  # reset tiles beside the generating ones
+    time_mux_steps: ClassVar[int] = 2   # column-sharing sense phases
+
+    @property
+    def total_tiles(self) -> int:
+        return self.pingpong_factor * self.n_streams * self.tiles_per_stream
 
 
 @dataclass
@@ -101,37 +95,30 @@ class GenerationStats:
     pulse_width_s: float
 
 
-@dataclass
-class CostReport:
-    """Area and power figures; calibrated powers sit beside raw Eq.-style values."""
+@dataclass(frozen=True)
+class AreaReport:
+    """Silicon area of a plan, in mm^2."""
 
     rram_area_mm2: float
     xnor_area_mm2: float
     adder_register_area_mm2: float
     sense_amp_area_mm2: float
     total_area_mm2: float
-    p_read_gradient_raw_w: float | None = None
-    p_read_weight_raw_w: float | None = None
-    p_read_gradient_w: float | None = None
-    p_read_weight_w: float | None = None
-    total_power_w: float | None = None
-    static_power_cap_w: float | None = None
-    e_grad_stat: float | None = None
-    e_weight_stat: float | None = None
-    calibration_kappa: float | None = None
-
-    def to_flat_dict(self) -> dict:
-        return asdict(self)
 
 
-@dataclass
-class MacComparison:
-    """Fixed comparison of the SC MAC (one XNOR + one MUX) vs a 16-bit binary MAC."""
+@dataclass(frozen=True)
+class CostReport(AreaReport):
+    """Areas and powers; calibrated powers sit beside raw Eq.-style values."""
 
-    sc_mac_delay_ps: float
-    xnor_mux_area_mm2: float
-    binary_mac_area_ratio: float = 1e5
-    binary_mac_delay_ratio: float = 1e2
+    p_read_gradient_raw_w: float
+    p_read_weight_raw_w: float
+    p_read_gradient_w: float
+    p_read_weight_w: float
+    total_power_w: float
+    static_power_cap_w: float
+    e_grad_stat: float
+    e_weight_stat: float
+    calibration_kappa: float
 
 
 def plan_array(n_bit: int, n_streams: int, tile: TileConfig | None = None) -> ArrayPlan:
@@ -146,9 +133,7 @@ def plan_array(n_bit: int, n_streams: int, tile: TileConfig | None = None) -> Ar
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
     tiles_per_stream = math.ceil(n_bit / tile.cols)
-    plan = ArrayPlan(n_bit=n_bit, n_streams=n_streams, tiles_per_stream=tiles_per_stream)
-    plan.total_tiles = plan.pingpong_factor * n_streams * tiles_per_stream
-    return plan
+    return ArrayPlan(n_bit=n_bit, n_streams=n_streams, tiles_per_stream=tiles_per_stream)
 
 
 def generate_stream(
@@ -163,8 +148,13 @@ def generate_stream(
 
     A fixed-voltage pulse of width pulse_width_for(target_p) is applied to
     one active row in each of ceil(n_bit / cols) tiles; cells are read out
-    in two column-sharing phases. The resulting bits are i.i.d.
-    Bernoulli(target_p): the tiling and phasing add structure, not bias.
+    in two column-sharing phases. With ``device.cell_jitter = 0`` the bits
+    are i.i.d. Bernoulli(target_p): the tiling and phasing add structure,
+    not bias. With jitter, each call redraws every cell's time constant,
+    so the bits stay independent but their one-probability is the mean
+    over the jitter, pulled towards 0.5: at cell_jitter = 0.6 the mean
+    on-fraction of 20 streams of 16384 bits is 0.116 / 0.513 / 0.858 at
+    target_p = 0.1 / 0.5 / 0.9.
     """
     if n_bit < 1:
         raise ValueError("n_bit must be >= 1")
@@ -193,7 +183,7 @@ def generate_stream(
     return stream, stats
 
 
-def area_report(plan: ArrayPlan, tile: TileConfig | None = None) -> CostReport:
+def area_report(plan: ArrayPlan, tile: TileConfig | None = None) -> AreaReport:
     """Silicon area of the plan: RRAM tiles plus the fixed peripheral blocks."""
     tile = tile if tile is not None else TileConfig()
     rram_mm2 = plan.total_tiles * tile.tile_area_um2 / 1e6
@@ -203,7 +193,7 @@ def area_report(plan: ArrayPlan, tile: TileConfig | None = None) -> CostReport:
         + tile.adder_register_area_mm2
         + tile.sense_amp_total_area_mm2
     )
-    return CostReport(
+    return AreaReport(
         rram_area_mm2=rram_mm2,
         xnor_area_mm2=tile.xnor_total_area_mm2,
         adder_register_area_mm2=tile.adder_register_area_mm2,
@@ -235,25 +225,19 @@ def power_report(
         raise ValueError("expected on-cell probabilities must lie in [0, 1]")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    report = area_report(plan, tile)
     raw_grad = _p_read_raw(plan.n_bit, e_grad, tile)
     raw_weight = _p_read_raw(plan.n_bit, e_weight, tile)
-    report.p_read_gradient_raw_w = raw_grad
-    report.p_read_weight_raw_w = raw_weight
-    report.p_read_gradient_w = kappa * raw_grad
-    report.p_read_weight_w = kappa * raw_weight
-    report.total_power_w = 2.0 * (report.p_read_gradient_w + report.p_read_weight_w)
-    report.static_power_cap_w = report.total_power_w / 2.0
-    report.e_grad_stat = e_grad
-    report.e_weight_stat = e_weight
-    report.calibration_kappa = kappa
-    return report
-
-
-def mac_comparison(tile: TileConfig | None = None) -> MacComparison:
-    """Informational constants comparing the SC MAC against a 16-bit binary MAC."""
-    tile = tile if tile is not None else TileConfig()
-    return MacComparison(
-        sc_mac_delay_ps=tile.mac_delay_ps,
-        xnor_mux_area_mm2=tile.xnor_total_area_mm2,
+    p_grad, p_weight = kappa * raw_grad, kappa * raw_weight
+    total = 2.0 * (p_grad + p_weight)
+    return CostReport(
+        **vars(area_report(plan, tile)),
+        p_read_gradient_raw_w=raw_grad,
+        p_read_weight_raw_w=raw_weight,
+        p_read_gradient_w=p_grad,
+        p_read_weight_w=p_weight,
+        total_power_w=total,
+        static_power_cap_w=total / 2.0,
+        e_grad_stat=e_grad,
+        e_weight_stat=e_weight,
+        calibration_kappa=kappa,
     )

@@ -57,7 +57,9 @@ class DeviceParams:
         Mean switching time of the exponential fit (seconds).
     cell_jitter : float
         Optional per-cell multiplicative lognormal jitter on tau_eff
-        (sigma of log); 0 disables device-to-device variation.
+        (sigma of log); 0 disables it. ``generate_stream`` redraws the
+        jitter on every call, so it models cycle-to-cycle rather than
+        device-to-device variation.
     """
 
     v0: float = DEFAULT_V0

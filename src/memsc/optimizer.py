@@ -7,12 +7,15 @@ parameter. Scaled addition halves the sum, so the decoded result is
 doubled and clamped back to [-1, 1]. In expectation the update equals the
 exact rule theta - eta*g whenever no clamp binds.
 
-Three execution paths share the same contracts:
+``update_tensor`` is the one update kernel; called on 0-d arrays it is the
+scalar update. Its exec modes are
   float     exact real arithmetic (the 32-bit baseline and oracle),
-  bitexact  packed-stream simulation, bit by bit,
   binomial  popcount of the final stream drawn from its analytic
-            Binomial(n_bit, p) law; distributionally identical to
-            bitexact at a fraction of the cost.
+            Binomial(n_bit, p) law,
+  bitexact  ``sc_sgd_step`` / ``sc_momentum_step`` per element.
+The ``sc_*_step`` functions simulate the packed streams bit by bit; they
+are the datapath itself and the independent reference that the binomial
+law is tested against.
 """
 
 from __future__ import annotations
@@ -26,14 +29,9 @@ from .sc import BitStream, Priori, decode, encode, negate, scaled_add, xnor_mul
 
 __all__ = [
     "OptimizerConfig",
-    "ParamState",
     "clip_gradient",
-    "float_sgd_step",
-    "float_momentum_step",
     "sc_sgd_step",
     "sc_momentum_step",
-    "binomial_sgd_step",
-    "binomial_momentum_step",
     "update_tensor",
     "MODES",
     "EXEC_MODES",
@@ -52,7 +50,6 @@ class OptimizerConfig:
     clip_lo: float = -1.0
     clip_hi: float = 1.0
     exec_mode: str = "binomial"
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -69,12 +66,6 @@ class OptimizerConfig:
             raise ValueError("clip_lo must be below clip_hi")
 
 
-@dataclass
-class ParamState:
-    theta: float
-    velocity: float = 0.0
-
-
 def clip_gradient(g, cfg: OptimizerConfig):
     """Clip a gradient (scalar or array) to [clip_lo, clip_hi]."""
     g = np.asarray(g, dtype=float)
@@ -86,26 +77,6 @@ def clip_gradient(g, cfg: OptimizerConfig):
 
 def _clamp_unit(x):
     return np.clip(x, -1.0, 1.0)
-
-
-def _check_theta(theta: float):
-    if not -1.0 <= theta <= 1.0:
-        raise ValueError(f"parameter {theta} outside [-1, 1]")
-
-
-# ---------------------------------------------------------------------------
-# Exact floating baselines (also the expectation oracles for the SC paths).
-# ---------------------------------------------------------------------------
-
-def float_sgd_step(theta: float, g: float, cfg: OptimizerConfig) -> float:
-    """theta - eta * clip(g), in exact arithmetic."""
-    return theta - cfg.eta * clip_gradient(g, cfg)
-
-
-def float_momentum_step(state: ParamState, g: float, cfg: OptimizerConfig) -> ParamState:
-    """v = gamma*v + eta*clip(g); theta = theta - v, in exact arithmetic."""
-    v = cfg.gamma * state.velocity + cfg.eta * clip_gradient(g, cfg)
-    return ParamState(theta=state.theta - v, velocity=v)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +93,6 @@ def _select(cfg: OptimizerConfig, rng: RngState, label: str) -> BitStream:
 
 def sc_sgd_step(theta: float, g: float, cfg: OptimizerConfig, rng: RngState) -> float:
     """One SGD update through the stream datapath (XNOR product, MUX add)."""
-    _check_theta(theta)
     g_c = clip_gradient(g, cfg)
     product = xnor_mul(
         _bipolar(g_c, cfg, rng, "g"),
@@ -135,32 +105,31 @@ def sc_sgd_step(theta: float, g: float, cfg: OptimizerConfig, rng: RngState) -> 
     return float(_clamp_unit(2.0 * decode(half_sum)))
 
 
-def sc_momentum_step(state: ParamState, g: float, cfg: OptimizerConfig, rng: RngState) -> ParamState:
-    """One momentum update: velocity and parameter both resolved in-stream.
+def sc_momentum_step(
+    theta: float, velocity: float, g: float, cfg: OptimizerConfig, rng: RngState
+) -> tuple[float, float]:
+    """One momentum update, returning (theta, velocity) resolved in-stream.
 
     The velocity is decoded and re-encoded between its two uses; keeping it
     stream-resident across steps would correlate successive updates.
     """
-    _check_theta(state.theta)
-    _check_theta(state.velocity)
     g_c = clip_gradient(g, cfg)
     v_half = scaled_add(
-        xnor_mul(_bipolar(cfg.gamma, cfg, rng, "gamma"), _bipolar(state.velocity, cfg, rng, "v")),
+        xnor_mul(_bipolar(cfg.gamma, cfg, rng, "gamma"), _bipolar(velocity, cfg, rng, "v")),
         xnor_mul(_bipolar(cfg.eta, cfg, rng, "eta"), _bipolar(g_c, cfg, rng, "g")),
         _select(cfg, rng, "v_select"),
     )
     v_new = float(_clamp_unit(2.0 * decode(v_half)))
     theta_half = scaled_add(
-        _bipolar(state.theta, cfg, rng, "theta"),
+        _bipolar(theta, cfg, rng, "theta"),
         negate(_bipolar(v_new, cfg, rng, "v_new")),
         _select(cfg, rng, "theta_select"),
     )
-    theta_new = float(_clamp_unit(2.0 * decode(theta_half)))
-    return ParamState(theta=theta_new, velocity=v_new)
+    return float(_clamp_unit(2.0 * decode(theta_half))), v_new
 
 
 # ---------------------------------------------------------------------------
-# Binomial fast path: sample the composed stream's popcount directly.
+# The update kernel.
 # ---------------------------------------------------------------------------
 
 def _p_bipolar(value):
@@ -176,36 +145,6 @@ def _draw_bipolar_value(p_stream, n_bit: int, gen: np.random.Generator):
     return 2.0 * (popcount / n_bit) - 1.0
 
 
-def binomial_sgd_step(theta: float, g: float, cfg: OptimizerConfig, rng: RngState) -> float:
-    """Distributional twin of sc_sgd_step via the composed Bernoulli law."""
-    _check_theta(theta)
-    p_prod = _p_xnor(_p_bipolar(clip_gradient(g, cfg)), _p_bipolar(-cfg.eta))
-    p_half = 0.5 * _p_bipolar(theta) + 0.5 * p_prod
-    value = _draw_bipolar_value(p_half, cfg.n_bit, rng.generator)
-    return float(_clamp_unit(2.0 * value))
-
-
-def binomial_momentum_step(
-    state: ParamState, g: float, cfg: OptimizerConfig, rng: RngState
-) -> ParamState:
-    """Distributional twin of sc_momentum_step (two sequential popcount draws)."""
-    _check_theta(state.theta)
-    _check_theta(state.velocity)
-    gen = rng.generator
-    p_v_half = 0.5 * _p_xnor(_p_bipolar(cfg.gamma), _p_bipolar(state.velocity)) + 0.5 * _p_xnor(
-        _p_bipolar(cfg.eta), _p_bipolar(clip_gradient(g, cfg))
-    )
-    v_new = float(_clamp_unit(2.0 * _draw_bipolar_value(p_v_half, cfg.n_bit, gen)))
-    # negate(encode(v_new)) has one-probability 1 - p(v_new)
-    p_theta_half = 0.5 * _p_bipolar(state.theta) + 0.5 * (1.0 - _p_bipolar(v_new))
-    theta_new = float(_clamp_unit(2.0 * _draw_bipolar_value(p_theta_half, cfg.n_bit, gen)))
-    return ParamState(theta=theta_new, velocity=v_new)
-
-
-# ---------------------------------------------------------------------------
-# Tensor-level updates.
-# ---------------------------------------------------------------------------
-
 def update_tensor(
     params: np.ndarray,
     grads: np.ndarray,
@@ -219,13 +158,13 @@ def update_tensor(
     the mean on-cell probability (clip(g)+1)/2 of the encoded gradient
     array, feeding the crossbar power model. Velocity is carried only in
     momentum mode (pass the previous array back in, zeros to start).
+    0-d arrays give the scalar update.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
-    g_c = clip_gradient(grads, cfg)
-    g_c = np.asarray(g_c, dtype=float)
+    g_c = np.asarray(clip_gradient(grads, cfg), dtype=float)
     e_grad_stat = float(np.mean((g_c + 1.0) / 2.0))
 
     if cfg.mode == "momentum":
@@ -258,6 +197,7 @@ def update_tensor(
             p_v_half = 0.5 * _p_xnor(_p_bipolar(cfg.gamma), _p_bipolar(v)) \
                 + 0.5 * _p_xnor(_p_bipolar(cfg.eta), _p_bipolar(g_c))
             new_v = _clamp_unit(2.0 * _draw_bipolar_value(p_v_half, cfg.n_bit, gen))
+            # negate(encode(v_new)) has one-probability 1 - p(v_new)
             p_theta_half = 0.5 * _p_bipolar(params) + 0.5 * (1.0 - _p_bipolar(new_v))
             new_params = _clamp_unit(2.0 * _draw_bipolar_value(p_theta_half, cfg.n_bit, gen))
         return new_params, new_v, e_grad_stat
@@ -274,10 +214,8 @@ def update_tensor(
         flat_v = v.reshape(-1)
         new_v_flat = np.empty_like(flat_v)
         for i in range(flat_p.size):
-            state = sc_momentum_step(
-                ParamState(float(flat_p[i]), float(flat_v[i])), float(flat_g[i]), cfg, rng.split(i)
+            new_flat[i], new_v_flat[i] = sc_momentum_step(
+                float(flat_p[i]), float(flat_v[i]), float(flat_g[i]), cfg, rng.split(i)
             )
-            new_flat[i] = state.theta
-            new_v_flat[i] = state.velocity
         new_v = new_v_flat.reshape(params.shape)
     return new_flat.reshape(params.shape), new_v, e_grad_stat

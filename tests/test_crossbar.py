@@ -5,6 +5,8 @@ must land on 512 tiles, 1.42 mm^2 of RRAM, 1.55 mm^2 total, and the
 calibrated powers 43.0 / 40.6 / 167 uW within 3%.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from memsc.crossbar import (
     TileConfig,
     area_report,
     generate_stream,
-    mac_comparison,
     plan_array,
     power_report,
 )
@@ -95,6 +96,10 @@ def test_power_calibrated_matches_published_figures():
     # raw value always reported alongside
     assert report.p_read_gradient_raw_w == pytest.approx(399.1e-6, rel=1e-3)
     assert report.calibration_kappa == DEFAULT_KAPPA
+    # the area fields are the plan's area report, unchanged
+    area = area_report(plan)
+    for field in dataclasses.fields(area):
+        assert getattr(report, field.name) == getattr(area, field.name)
 
 
 def test_power_validation():
@@ -105,12 +110,14 @@ def test_power_validation():
         power_report(plan, e_grad=0.5, e_weight=0.5, kappa=0.0)
 
 
-def test_mac_comparison_constants():
-    report = mac_comparison()
-    assert report.sc_mac_delay_ps == 58.0
-    assert report.binary_mac_area_ratio == 1e5
-    assert report.binary_mac_delay_ratio == 1e2
-    assert report.xnor_mux_area_mm2 == 0.031
+def test_plan_and_reports_are_frozen():
+    plan = plan_array(16384, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.n_bit = 128
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        area_report(plan).total_area_mm2 = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        power_report(plan, e_grad=0.5, e_weight=0.5).total_power_w = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Stochastic update datapath checks against the exact float oracles.
 
+The scalar float and binomial updates are ``update_tensor`` on 0-d arrays;
+the bit-exact datapath ``sc_*_step`` is the independent reference that the
+binomial law is KS-tested against.
+
 Monte-Carlo tolerances come from the composed stream variance: the doubled
 decode of a half-sum stream has sigma <= 2/sqrt(n_bit), so means over
 hundreds of repetitions sit well inside the 0.05 bands used here.
@@ -11,12 +15,7 @@ from scipy import stats
 
 from memsc.optimizer import (
     OptimizerConfig,
-    ParamState,
-    binomial_momentum_step,
-    binomial_sgd_step,
     clip_gradient,
-    float_momentum_step,
-    float_sgd_step,
     sc_momentum_step,
     sc_sgd_step,
     update_tensor,
@@ -30,6 +29,16 @@ def cfg(**kw):
 
 def rng(*labels, seed=77):
     return RngState(seed).split(*labels)
+
+
+def step0d(theta, g, c, r, velocity=None):
+    """The scalar update: update_tensor on 0-d arrays.
+
+    Returns theta, or (theta, velocity) when a velocity is passed in.
+    """
+    v = None if velocity is None else np.array(velocity)
+    new_theta, new_v, _ = update_tensor(np.array(theta), np.array(g), c, r, velocity=v)
+    return float(new_theta) if velocity is None else (float(new_theta), float(new_v))
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +55,17 @@ def test_clip_gradient():
 
 
 def test_float_sgd_step():
-    assert float_sgd_step(0.5, 0.2, cfg(eta=0.1)) == pytest.approx(0.48)
-    assert float_sgd_step(0.1, 0.0, cfg(eta=0.5)) == 0.1
+    assert step0d(0.5, 0.2, cfg(eta=0.1, exec_mode="float"), rng("f")) == pytest.approx(0.48)
+    assert step0d(0.1, 0.0, cfg(eta=0.5, exec_mode="float"), rng("f")) == 0.1
 
 
 def test_float_momentum_step():
-    state = float_momentum_step(ParamState(0.0, 0.1), 0.2, cfg(mode="momentum", eta=0.5))
-    assert state.velocity == pytest.approx(0.19)
-    assert state.theta == pytest.approx(-0.19)
-    idle = float_momentum_step(ParamState(0.3, 0.0), 0.0, cfg(mode="momentum", eta=0.5))
-    assert idle.theta == 0.3 and idle.velocity == 0.0
+    c = cfg(mode="momentum", eta=0.5, exec_mode="float")
+    theta, velocity = step0d(0.0, 0.2, c, rng("f"), velocity=0.1)
+    assert velocity == pytest.approx(0.19)
+    assert theta == pytest.approx(-0.19)
+    idle = step0d(0.3, 0.0, c, rng("f"), velocity=0.0)
+    assert idle == (0.3, 0.0)
 
 
 def test_config_validation():
@@ -104,6 +114,7 @@ def test_sc_sgd_unbiased_on_randomized_grid():
     reps = 500
     for eta in (0.1, 0.5):
         c = cfg(eta=eta, n_bit=16384)
+        c_float = cfg(eta=eta, exec_mode="float")
         for _ in range(4):
             theta = gen.uniform(-0.45, 0.45)
             g = gen.uniform(-0.9, 0.9)
@@ -111,7 +122,7 @@ def test_sc_sgd_unbiased_on_randomized_grid():
                 [sc_sgd_step(theta, g, c, rng("ub", eta, theta, k)) for k in range(reps)]
             )
             se = results.std(ddof=1) / np.sqrt(reps)
-            assert abs(results.mean() - float_sgd_step(theta, g, c)) <= 4 * se
+            assert abs(results.mean() - step0d(theta, g, c_float, rng("f"))) <= 4 * se
 
 
 def test_sc_sgd_variance_scaling():
@@ -144,9 +155,9 @@ def test_sc_momentum_idle_state():
     c = cfg(mode="momentum", eta=0.5, n_bit=16384)
     thetas, vs = [], []
     for k in range(200):
-        s = sc_momentum_step(ParamState(0.2, 0.0), 0.0, c, rng("mi", k))
-        thetas.append(s.theta)
-        vs.append(s.velocity)
+        theta, velocity = sc_momentum_step(0.2, 0.0, 0.0, c, rng("mi", k))
+        thetas.append(theta)
+        vs.append(velocity)
     assert abs(np.mean(thetas) - 0.2) <= 0.05
     assert abs(np.mean(vs)) <= 0.05
 
@@ -154,9 +165,9 @@ def test_sc_momentum_idle_state():
 def test_sc_momentum_expectation():
     # v = 0.9*0.1 + 0.5*0.2 = 0.19; theta = 0 - v
     c = cfg(mode="momentum", eta=0.5, gamma=0.9, n_bit=16384)
-    states = [sc_momentum_step(ParamState(0.0, 0.1), 0.2, c, rng("me", k)) for k in range(200)]
-    assert abs(np.mean([s.velocity for s in states]) - 0.19) <= 0.05
-    assert abs(np.mean([s.theta for s in states]) + 0.19) <= 0.05
+    states = [sc_momentum_step(0.0, 0.1, 0.2, c, rng("me", k)) for k in range(200)]
+    assert abs(np.mean([v for _, v in states]) - 0.19) <= 0.05
+    assert abs(np.mean([theta for theta, _ in states]) + 0.19) <= 0.05
 
 
 def test_sc_momentum_gamma_zero_matches_sgd_in_expectation():
@@ -164,7 +175,7 @@ def test_sc_momentum_gamma_zero_matches_sgd_in_expectation():
     c_s = cfg(mode="sgd", eta=0.3, n_bit=4096)
     theta, g = 0.25, 0.5
     m = np.mean(
-        [sc_momentum_step(ParamState(theta, 0.0), g, c_m, rng("g0m", k)).theta for k in range(500)]
+        [sc_momentum_step(theta, 0.0, g, c_m, rng("g0m", k))[0] for k in range(500)]
     )
     s = np.mean([sc_sgd_step(theta, g, c_s, rng("g0s", k)) for k in range(500)])
     assert abs(m - s) <= 0.05
@@ -179,30 +190,46 @@ def test_binomial_composition_probability_algebra():
     # huge n_bit the draw concentrates on the composed mean
     theta, g, eta = 0.5, 0.2, 0.1
     c = cfg(eta=eta, n_bit=2**22)
-    out = binomial_sgd_step(theta, g, c, rng("alg"))
+    out = step0d(theta, g, c, rng("alg"))
     assert out == pytest.approx(theta - eta * g, abs=5e-3)
 
 
 def test_binomial_degenerate_single_bit():
     c = cfg(eta=0.5, n_bit=1)
-    outs = {binomial_sgd_step(0.0, 0.0, c, rng("one", k)) for k in range(50)}
+    outs = {step0d(0.0, 0.0, c, rng("one", k)) for k in range(50)}
     assert outs <= {-1.0, 1.0}
 
 
-def test_mode_equivalence_sgd():
+def ks_pvalue_sgd(theta, g):
     c = cfg(eta=0.5, n_bit=2048)
-    theta, g = 0.3, -0.4
     bit = [sc_sgd_step(theta, g, c, rng("ksb", k)) for k in range(500)]
-    bino = [binomial_sgd_step(theta, g, c, rng("ksn", k)) for k in range(500)]
-    assert stats.ks_2samp(bit, bino).pvalue > 0.01
+    bino = [step0d(theta, g, c, rng("ksn", k)) for k in range(500)]
+    return stats.ks_2samp(bit, bino).pvalue
+
+
+def ks_pvalue_momentum(theta, v, g):
+    c = cfg(mode="momentum", eta=0.5, gamma=0.9, n_bit=2048)
+    bit = [sc_momentum_step(theta, v, g, c, rng("kmb", k))[0] for k in range(500)]
+    bino = [step0d(theta, g, c, rng("kmn", k), velocity=v)[0] for k in range(500)]
+    return stats.ks_2samp(bit, bino).pvalue
+
+
+def test_mode_equivalence_sgd():
+    assert ks_pvalue_sgd(0.3, -0.4) > 0.01
 
 
 def test_mode_equivalence_momentum():
-    c = cfg(mode="momentum", eta=0.5, gamma=0.9, n_bit=2048)
-    state = ParamState(0.2, 0.1)
-    bit = [sc_momentum_step(state, 0.3, c, rng("kmb", k)).theta for k in range(500)]
-    bino = [binomial_momentum_step(state, 0.3, c, rng("kmn", k)).theta for k in range(500)]
-    assert stats.ks_2samp(bit, bino).pvalue > 0.01
+    assert ks_pvalue_momentum(0.2, 0.1, 0.3) > 0.01
+
+
+@pytest.mark.parametrize("theta, g", [(1.0, 0.0), (-1.0, 0.0), (1.0, -1.0), (-1.0, 1.0)])
+def test_mode_equivalence_sgd_clamp_corners(theta, g):
+    assert ks_pvalue_sgd(theta, g) > 0.01
+
+
+@pytest.mark.parametrize("theta, v, g", [(1.0, 0.0, 0.0), (-1.0, 1.0, 1.0)])
+def test_mode_equivalence_momentum_clamp_corners(theta, v, g):
+    assert ks_pvalue_momentum(theta, v, g) > 0.01
 
 
 # ---------------------------------------------------------------------------
