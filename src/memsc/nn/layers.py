@@ -4,9 +4,10 @@ Tensors are plain numpy arrays in row-major (B, C, H, W) layout. Each layer
 exposes forward(x, training) -> (y, cache) and
 backward(dy, cache, need_dx) -> (dx, grads); trainable layers publish their
 parameter arrays through params(). The cache exists only for backward:
-Conv2d and MaxPool2x2 return None in eval mode (training=False), so
-inference holds no per-layer buffers. Convolutions are stride-1/no-padding
-and pooling is 2x2/stride-2, which is all the adopted architecture needs.
+Conv2d, MaxPool2x2, BatchNorm and ReLU return None in eval mode
+(training=False), so inference holds no per-layer buffers. Convolutions are
+stride-1/no-padding and pooling is 2x2/stride-2, which is all the adopted
+architecture needs.
 
 Convolution is im2col + GEMM (Chellapilla et al. 2006) on channel-major
 columns of shape (C*k*k, B*OH*OW), whose row (c, i, j) is channel c shifted
@@ -87,6 +88,13 @@ class BatchNorm:
     cumulative average of the batch statistics (the population estimate
     of Ioffe & Szegedy 2015, with no weight left on the initial 0 and 1),
     and after that an exponential moving average with momentum 0.1.
+
+    Backward is the closed form over the n = B*H*W values of a channel,
+    dx = gamma*inv * (dy - dbeta/n - xhat*dgamma/n) with dgamma = sum(dy*xhat)
+    and dbeta = sum(dy), inv = 1/sqrt(var + eps); it sums to zero per
+    channel, so a bias feeding batch normalization gets no gradient.
+    Evaluation is the affine map x*s + t with s = gamma/sqrt(running_var + eps)
+    and t = beta - running_mean*s.
     """
 
     def __init__(self, name, channels, dtype=np.float32, momentum=0.1, eps=1e-5):
@@ -109,32 +117,38 @@ class BatchNorm:
 
     def forward(self, x, training=False):
         axes, shape = self._axes_shape(x)
-        if training:
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.batches_seen += 1
-            m = max(self.momentum, 1.0 / self.batches_seen)
-            self.running_mean[...] = (1 - m) * self.running_mean + m * mu
-            self.running_var[...] = (1 - m) * self.running_var + m * var
-        else:
-            mu, var = self.running_mean, self.running_var
+        if not training:
+            s = self.gamma / np.sqrt(self.running_var + self.eps)
+            t = self.beta - self.running_mean * s
+            y = x * s.reshape(shape)
+            y += t.reshape(shape)
+            return y, None
+        b, c = x.shape[:2]
+        mu = x.mean(axis=axes)
+        xhat = x - mu.reshape(shape)
+        centred = xhat.reshape(b, c, -1)
+        var = np.einsum("bcs,bcs->c", centred, centred) / (x.size // c)
+        self.batches_seen += 1
+        m = max(self.momentum, 1.0 / self.batches_seen)
+        self.running_mean[...] = (1 - m) * self.running_mean + m * mu
+        self.running_var[...] = (1 - m) * self.running_var + m * var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu.reshape(shape)) * inv.reshape(shape)
-        y = self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
+        xhat *= inv.reshape(shape)
+        y = xhat * self.gamma.reshape(shape)
+        y += self.beta.reshape(shape)
         return y, (xhat, inv, axes, shape)
 
     def backward(self, dy, cache, need_dx=True):
         xhat, inv, axes, shape = cache
-        n = dy.size // dy.shape[1]
-        dgamma = (dy * xhat).sum(axis=axes)
+        b, c = dy.shape[:2]
+        n = dy.size // c
+        dgamma = np.einsum("bcs,bcs->c", dy.reshape(b, c, -1), xhat.reshape(b, c, -1))
         dbeta = dy.sum(axis=axes)
-        dxhat = dy * self.gamma.reshape(shape)
-        dx = (inv.reshape(shape) / n) * (
-            n * dxhat
-            - dxhat.sum(axis=axes, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-        )
-        return dx.astype(dy.dtype), {
+        dx = xhat * (-dgamma / n).reshape(shape)
+        dx += dy
+        dx -= (dbeta / n).reshape(shape)
+        dx *= (self.gamma * inv).reshape(shape)
+        return dx.astype(dy.dtype, copy=False), {
             "gamma": dgamma.astype(self.gamma.dtype),
             "beta": dbeta.astype(self.beta.dtype),
         }
@@ -145,6 +159,8 @@ class ReLU:
         self.name = name
 
     def forward(self, x, training=False):
+        if not training:
+            return np.maximum(x, 0), None
         mask = x > 0
         return x * mask, mask
 

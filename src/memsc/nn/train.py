@@ -76,13 +76,25 @@ def _batches(order: np.ndarray, batch_size: int):
     return order[: nb * batch_size].reshape(nb, batch_size)
 
 
-def evaluate(net: Network, dataset: Dataset, batch_size: int = 512) -> float:
-    """Fraction of examples whose argmax logit matches the label."""
+# Images per evaluation forward: small enough that each layer's output is
+# still in a core's L2 cache when the next layer reads it.
+EVAL_CHUNK = 32
+
+
+def evaluate(net: Network, dataset: Dataset) -> float:
+    """Fraction of examples whose argmax logit matches the label.
+
+    The set runs through the network in chunks of EVAL_CHUNK images (the
+    last may be partial). Eval-mode layers treat images independently, so
+    the chunk size moves logits only by float rounding; it sets the memory
+    traffic, since at 512 images per forward every activation goes out to
+    main memory and back.
+    """
     hits = 0
-    for lo in range(0, len(dataset), batch_size):
-        x = dataset.images[lo : lo + batch_size]
+    for lo in range(0, len(dataset), EVAL_CHUNK):
+        x = dataset.images[lo : lo + EVAL_CHUNK]
         logits, _ = net.forward(x, training=False)
-        hits += int((logits.argmax(axis=1) == dataset.labels[lo : lo + batch_size]).sum())
+        hits += int((logits.argmax(axis=1) == dataset.labels[lo : lo + EVAL_CHUNK]).sum())
     return hits / len(dataset)
 
 

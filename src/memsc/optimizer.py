@@ -158,7 +158,9 @@ def update_tensor(
     the mean on-cell probability (clip(g)+1)/2 of the encoded gradient
     array, feeding the crossbar power model. Velocity is carried only in
     momentum mode (pass the previous array back in, zeros to start).
-    0-d arrays give the scalar update.
+    0-d arrays give the scalar update. Non-finite parameters or velocities
+    raise ValueError in every exec mode; the SC modes also need them in
+    [-1, 1].
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
@@ -173,6 +175,8 @@ def update_tensor(
             raise ValueError("velocity shape does not match params")
     else:
         v = None
+    if not np.all(np.isfinite(params)) or (v is not None and not np.all(np.isfinite(v))):
+        raise ValueError("parameters and velocity must be finite")
 
     if cfg.exec_mode == "float":
         if cfg.mode == "sgd":

@@ -200,6 +200,36 @@ def test_batchnorm_running_statistics_warm_start():
         assert np.allclose(bn.running_var, np.mean(variances, axis=0), rtol=1e-12, atol=1e-12)
 
 
+def test_batchnorm_eval_is_running_statistics_affine():
+    bn = BatchNorm("bn", 4, dtype=np.float64)
+    gen = np.random.default_rng(18)
+    bn.gamma[...] = gen.uniform(0.5, 2.0, size=4)
+    bn.beta[...] = gen.normal(size=4)
+    for _ in range(3):
+        bn.forward(gen.normal(1.0, 2.0, size=(8, 4, 5, 5)), training=True)
+    x = gen.normal(1.0, 2.0, size=(6, 4, 5, 5))
+    y, cache = bn.forward(x, training=False)
+    shape = (1, -1, 1, 1)
+    want = bn.gamma.reshape(shape) * (x - bn.running_mean.reshape(shape)) \
+        / np.sqrt(bn.running_var.reshape(shape) + bn.eps) + bn.beta.reshape(shape)
+    assert cache is None
+    np.testing.assert_allclose(y, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 5, 4), (16, 7)])
+def test_batchnorm_input_gradient_sums_to_zero_per_channel(shape):
+    # y is invariant to a per-channel shift of x, so sum(dx) over a channel
+    # is 0: a bias feeding batch normalization has no gradient
+    gen = np.random.default_rng(19)
+    bn = BatchNorm("bn", shape[1], dtype=np.float64)
+    bn.gamma[...] = gen.uniform(0.5, 2.0, size=shape[1])
+    _, cache = bn.forward(gen.normal(0.5, 3.0, size=shape), training=True)
+    dy = gen.normal(size=shape)
+    dx, _ = bn.backward(dy, cache)
+    axes = (0, 2, 3) if len(shape) == 4 else (0,)
+    assert np.all(np.abs(dx.sum(axis=axes)) <= 1e-12 * np.linalg.norm(dy))
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
@@ -271,7 +301,7 @@ def test_eval_mode_keeps_no_conv_or_pool_cache():
     net = table1_network(RngState(6))
     _, caches = net.forward(np.zeros((2, 1, 28, 28), dtype=np.float32), training=False)
     for layer, cache in zip(net.layers, caches):
-        if isinstance(layer, (Conv2d, MaxPool2x2)):
+        if isinstance(layer, (Conv2d, MaxPool2x2, BatchNorm, ReLU)):
             assert cache is None, layer.name
 
 

@@ -303,3 +303,14 @@ def test_update_tensor_out_of_range_params_rejected():
     c = cfg(exec_mode="binomial")
     with pytest.raises(ValueError):
         update_tensor(np.array([1.5]), np.array([0.0]), c, rng("oorp"))
+
+
+@pytest.mark.parametrize("exec_mode", ["float", "binomial", "bitexact"])
+@pytest.mark.parametrize("where", ["params", "velocity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_update_tensor_non_finite_state_rejected(exec_mode, where, bad):
+    c = cfg(mode="momentum", n_bit=64, exec_mode=exec_mode)
+    state = {"params": np.array([0.1, 0.2]), "velocity": np.zeros(2)}
+    state[where][1] = bad
+    with pytest.raises(ValueError, match="parameters and velocity must be finite"):
+        update_tensor(state["params"], np.zeros(2), c, rng("nf"), velocity=state["velocity"])

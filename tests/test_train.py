@@ -13,6 +13,7 @@ from memsc.nn import (
     table1_network,
     train,
 )
+from memsc.nn.train import EVAL_CHUNK
 from memsc.optimizer import OptimizerConfig
 from memsc.rng import RngState
 
@@ -142,3 +143,15 @@ def test_evaluate_scale_invariance(blobs):
     scaled = (3.7 * logits_ref).argmax(axis=1)
     assert np.array_equal(scaled, logits_ref.argmax(axis=1))
     assert 0.0 <= base <= 1.0
+
+
+def test_evaluate_chunks_match_one_forward(blobs):
+    # 100 images end in a partial chunk; chunking must not change a prediction
+    train_set, test_set = blobs
+    assert len(test_set) >= 100 and 100 % EVAL_CHUNK != 0
+    images = test_set.subset(100)
+    net = table1_network(RngState(12))
+    train(net, train_set.subset(256), images, OptimizerConfig(exec_mode="float"),
+          TrainProtocol(epochs=1, batch_size=128, seed=12, eval_every=0))
+    logits, _ = net.forward(images.images, training=False)
+    assert evaluate(net, images) == np.mean(logits.argmax(axis=1) == images.labels)
