@@ -155,28 +155,36 @@ def generate_stream(
     over the jitter, pulled towards 0.5: at cell_jitter = 0.6 the mean
     on-fraction of 20 streams of 16384 bits is 0.116 / 0.513 / 0.858 at
     target_p = 0.1 / 0.5 / 0.9.
+
+    The bits are fixed by the per-tile draw order. Tile t draws from its
+    own substream ``rng.split("tile", t)``: first ``lognormal(cells)`` time
+    constant scales when jitter > 0, then ``random(cells)`` uniforms. The
+    first ceil(cells / 2) uniforms are the even-column phase, the rest the
+    odd-column phase, and bit i is 1 iff its uniform lies below its cell's
+    switching probability.
     """
     if n_bit < 1:
         raise ValueError("n_bit must be >= 1")
     width = pulse_width_for(target_p, device.v_prog, device)  # validates target_p
     n_tiles = math.ceil(n_bit / tile.cols)
-    bits = np.zeros(n_bit, dtype=bool)
+    jitter = device.cell_jitter > 0
+    tau_scale = np.empty(n_bit) if jitter else None
+    u = np.empty(n_bit)
     for t in range(n_tiles):
         lo = t * tile.cols
         cells = min(tile.cols, n_bit - lo)
         gen = rng.split("tile", t).generator
-        if device.cell_jitter > 0:
-            tau_scale = gen.lognormal(0.0, device.cell_jitter, size=cells)
-            p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
-        else:
-            p_cell = np.full(cells, switch_probability(width, device.v_prog, device))
-        # Two sense phases: even columns first, odd columns second.
-        row = np.zeros(cells, dtype=bool)
-        for phase in range(2):
-            idx = np.arange(phase, cells, 2)
-            row[idx] = gen.random(idx.size) < p_cell[idx]
-        bits[lo : lo + cells] = row
-    stream = BitStream.from_bools(bits, priori)
+        if jitter:
+            tau_scale[lo : lo + cells] = gen.lognormal(0.0, device.cell_jitter, size=cells)
+        draws = gen.random(cells)  # even-column phase first, then odd
+        even = (cells + 1) // 2
+        u[lo : lo + cells : 2] = draws[:even]
+        u[lo + 1 : lo + cells : 2] = draws[even:]
+    if jitter:
+        p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
+    else:
+        p_cell = switch_probability(width, device.v_prog, device)
+    stream = BitStream.from_bools(u < p_cell, priori)
     stats = GenerationStats(
         on_count=stream.popcount(), phases=2, tiles=n_tiles, pulse_width_s=width
     )

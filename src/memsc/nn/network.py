@@ -55,9 +55,6 @@ class Network:
                     out[f"{layer.name}.{key}"] = arr
         return out
 
-    def num_params(self):
-        return sum(a.size for a in self.params().values())
-
 
 def table1_network(rng: RngState, dtype=np.float32) -> Network:
     """The adopted 28x28 CNN."""

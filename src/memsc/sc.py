@@ -3,8 +3,8 @@
 Numbers are carried as packed random bit streams. The fraction of ones,
 x = popcount/length, encodes the value: unipolar streams represent x in
 [0, 1], bipolar streams represent 2x - 1 in [-1, 1]. Multiplication is a
-single XNOR (bipolar) or AND (unipolar) per bit position; scaled addition
-is a per-position multiplexer.
+single XNOR per bit position of two bipolar streams; scaled addition is a
+per-position multiplexer.
 
 All operands of a multiply or add must come from independent substreams:
 correlated inputs silently corrupt products (xnor_mul(a, a) decodes to +1,
@@ -27,7 +27,6 @@ __all__ = [
     "encode",
     "decode",
     "xnor_mul",
-    "and_mul",
     "scaled_add",
     "negate",
     "lfsr_stream",
@@ -143,12 +142,6 @@ def xnor_mul(a: BitStream, b: BitStream) -> BitStream:
     return BitStream(bits, a.length, Priori.BIPOLAR)
 
 
-def and_mul(a: BitStream, b: BitStream) -> BitStream:
-    """Unipolar multiply: bitwise AND of two independent streams."""
-    _check_pair(a, b, "and_mul", Priori.UNIPOLAR)
-    return BitStream(a.bits & b.bits, a.length, Priori.UNIPOLAR)
-
-
 def scaled_add(a: BitStream, b: BitStream, select: BitStream) -> BitStream:
     """Multiplexed add: take a's bit where select is 1, else b's bit.
 
@@ -191,6 +184,8 @@ class LfsrState:
     register: int = 0xACE1
 
     def __post_init__(self):
+        if not 1 <= self.width <= 63:
+            raise ValueError(f"width must lie in [1, 63] so words fit int64, got {self.width}")
         self.taps = tuple(self.taps)
         mask = (1 << self.width) - 1
         self.register &= mask
@@ -209,7 +204,41 @@ class LfsrState:
         return word
 
     def words(self, count: int) -> np.ndarray:
-        return np.fromiter((self.step() for _ in range(count)), dtype=np.int64, count=count)
+        """The next ``count`` register words, as ``count`` calls of ``step()`` give them.
+
+        Let a[0..w-1] be the register bits oldest first (a[w-1-b] is bit b).
+        Each step shifts in a[j] = XOR_t a[j-t] for j >= w, and word i is
+        the OR of a[w-1-b+i] << b. Over GF(2) the feedback polynomial obeys
+        Q(x)^2 = Q(x^2), so by induction a[j] = XOR_t a[j - t*2^k] holds for
+        j >= w + (2^k - 1)*max(taps); the start condition needs the width,
+        not just 2^k*max(taps), whenever max(taps) < w. The sequence is
+        filled in blocks of min(taps)*2^k bits, one XOR of slices each,
+        raising k as soon as the condition allows. ``step()`` is the
+        one-step reference. The register is left after ``count`` steps.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        w, taps = self.width, self.taps
+        n = count + w
+        a = np.empty(n, dtype=np.int64)
+        a[:w] = (self.register >> np.arange(w - 1, -1, -1)) & 1
+        shortest, longest = min(taps), max(taps)
+        j, k = w, 0
+        while j < n:
+            while j >= w + ((2 << k) - 1) * longest:
+                k += 1
+            end = min(n, j + (shortest << k))
+            block = a[j - (taps[0] << k) : end - (taps[0] << k)].copy()
+            for t in taps[1:]:
+                block ^= a[j - (t << k) : end - (t << k)]
+            a[j:end] = block
+            j = end
+        # count + 1 words: the last one is the register after count steps.
+        out = np.zeros(count + 1, dtype=np.int64)
+        for b in range(w):
+            out |= a[w - 1 - b : n - b] << b
+        self.register = int(out[-1])
+        return out[:-1]
 
 
 def lfsr_stream(value: float, length: int, priori: Priori, lfsr: LfsrState) -> BitStream:

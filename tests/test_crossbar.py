@@ -6,6 +6,7 @@ calibrated powers 43.0 / 40.6 / 167 uW within 3%.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,15 +16,16 @@ from scipy import stats
 
 from memsc.crossbar import (
     DEFAULT_KAPPA,
+    GenerationStats,
     TileConfig,
     area_report,
     generate_stream,
     plan_array,
     power_report,
 )
-from memsc.device import DeviceParams
+from memsc.device import DeviceParams, pulse_width_for, switch_probability
 from memsc.rng import RngState
-from memsc.sc import Priori, encode
+from memsc.sc import BitStream, Priori, encode
 
 
 def test_plan_published_configuration():
@@ -161,3 +163,42 @@ def test_generate_stream_matches_encode_distribution():
         enc_counts[k] = encode(value, n, Priori.BIPOLAR, RngState(5000 + k)).popcount()
     ks = stats.ks_2samp(dev_counts, enc_counts)
     assert ks.pvalue > 0.01
+
+
+def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.BIPOLAR):
+    """The per-tile, per-phase loop that first defined generate_stream's bits."""
+    width = pulse_width_for(target_p, device.v_prog, device)
+    n_tiles = math.ceil(n_bit / tile.cols)
+    bits = np.zeros(n_bit, dtype=bool)
+    for t in range(n_tiles):
+        lo = t * tile.cols
+        cells = min(tile.cols, n_bit - lo)
+        gen = rng.split("tile", t).generator
+        if device.cell_jitter > 0:
+            tau_scale = gen.lognormal(0.0, device.cell_jitter, size=cells)
+            p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
+        else:
+            p_cell = np.full(cells, switch_probability(width, device.v_prog, device))
+        row = np.zeros(cells, dtype=bool)
+        for phase in range(2):
+            idx = np.arange(phase, cells, 2)
+            row[idx] = gen.random(idx.size) < p_cell[idx]
+        bits[lo : lo + cells] = row
+    stream = BitStream.from_bools(bits, priori)
+    stats_ = GenerationStats(
+        on_count=stream.popcount(), phases=2, tiles=n_tiles, pulse_width_s=width
+    )
+    return stream, stats_
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.6])
+@pytest.mark.parametrize("n_bit", [1, 127, 129, 16385])
+@pytest.mark.parametrize("p", [0.0, 0.41, 0.95])
+def test_generate_stream_bits_match_reference_loop(jitter, n_bit, p):
+    device, tile = DeviceParams(cell_jitter=jitter), TileConfig()
+    stream, stats_ = generate_stream(p, n_bit, device, tile, RngState(31, ("pin", n_bit)))
+    ref, ref_stats = reference_generate_stream(
+        p, n_bit, device, tile, RngState(31, ("pin", n_bit))
+    )
+    assert stream.same_bits(ref)
+    assert stats_ == ref_stats

@@ -1,16 +1,18 @@
-"""Every console entry point declared in pyproject.toml must resolve."""
+"""Every console entry point and every ``__all__`` name must resolve."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+import memsc
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_entry_points_resolve():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     assert project["name"] == "memsc"
     for name, target in project.get("scripts", {}).items():
@@ -19,3 +21,14 @@ def test_entry_points_resolve():
         for part in attr.strip().split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_module_exports_resolve():
+    modules = [memsc] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(memsc.__path__, "memsc.")
+    ]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert exported
+    missing = [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)]
+    assert not missing, missing

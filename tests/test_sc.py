@@ -18,7 +18,6 @@ from memsc.sc import (
     BitStream,
     LfsrState,
     Priori,
-    and_mul,
     decode,
     encode,
     lfsr_period,
@@ -142,17 +141,6 @@ def test_xnor_correlation_hazard():
     assert decode(xnor_mul(a, a)) == 1.0
 
 
-def test_and_mul():
-    n = 16384
-    a = encode(0.6, n, Priori.UNIPOLAR, rng("aa"))
-    b = encode(0.5, n, Priori.UNIPOLAR, rng("ab"))
-    assert abs(decode(and_mul(a, b)) - 0.30) <= 0.05
-    ones = BitStream.ones(n, Priori.UNIPOLAR)
-    zeros = BitStream.zeros(n, Priori.UNIPOLAR)
-    assert and_mul(ones, b).same_bits(b)
-    assert and_mul(zeros, b).popcount() == 0
-
-
 # ---------------------------------------------------------------------------
 # scaled addition
 # ---------------------------------------------------------------------------
@@ -271,6 +259,54 @@ def test_lfsr_corrupted_taps_short_period():
 def test_lfsr_zero_register_rejected():
     with pytest.raises(ValueError):
         LfsrState(register=0)
+
+
+@pytest.mark.parametrize("width", [0, -3, 64])
+def test_lfsr_width_out_of_range_rejected(width):
+    with pytest.raises(ValueError, match="width"):
+        LfsrState(width=width, taps=(1,), register=1)
+
+
+def test_lfsr_negative_count_rejected():
+    with pytest.raises(ValueError, match="count"):
+        LfsrState().words(-1)
+
+
+def stepped_words(lfsr, count):
+    return np.array([lfsr.step() for _ in range(count)], dtype=np.int64)
+
+
+@st.composite
+def lfsr_cases(draw):
+    width = draw(st.integers(min_value=1, max_value=12))
+    taps = draw(st.lists(st.integers(1, width), min_size=1, max_size=5))
+    register = draw(st.integers(min_value=1, max_value=(1 << width) - 1))
+    count = draw(st.integers(min_value=0, max_value=min(3 << width, 4096)))
+    split = draw(st.integers(min_value=0, max_value=count))
+    return width, tuple(taps), register, count, split
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lfsr_cases())
+def test_lfsr_words_match_repeated_step(case):
+    width, taps, register, count, split = case
+    fast, slow = LfsrState(width, taps, register), LfsrState(width, taps, register)
+    words = fast.words(count)
+    assert words.dtype == np.int64
+    assert np.array_equal(words, stepped_words(slow, count))
+    assert fast.register == slow.register
+    chained = LfsrState(width, taps, register)
+    parts = np.concatenate([chained.words(split), chained.words(count - split)])
+    assert np.array_equal(parts, words)
+    assert chained.register == fast.register
+
+
+@pytest.mark.parametrize("width,taps", [(8, (5, 3)), (16, (7, 6))])
+def test_lfsr_words_largest_tap_below_width(width, taps):
+    # lag doubling may start only at j >= width + (2^k - 1) * max(taps)
+    fast, slow = LfsrState(width, taps), LfsrState(width, taps)
+    assert np.array_equal(fast.words(5000), stepped_words(slow, 5000))
+    assert fast.register == slow.register
 
 
 def test_lfsr_value_resolution():
