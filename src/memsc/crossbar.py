@@ -85,7 +85,7 @@ class ArrayPlan:
         return self.pingpong_factor * self.n_streams * self.tiles_per_stream
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationStats:
     """Bookkeeping from one in-array stream generation."""
 
@@ -161,7 +161,9 @@ def generate_stream(
     constant scales when jitter > 0, then ``random(cells)`` uniforms. The
     first ceil(cells / 2) uniforms are the even-column phase, the rest the
     odd-column phase, and bit i is 1 iff its uniform lies below its cell's
-    switching probability.
+    switching probability. All tiles' substreams are seeded in one pass by
+    ``rng.generators("tile", n_tiles)``, which gives the same bits as
+    opening each ``split("tile", t).generator`` in turn.
     """
     if n_bit < 1:
         raise ValueError("n_bit must be >= 1")
@@ -170,10 +172,9 @@ def generate_stream(
     jitter = device.cell_jitter > 0
     tau_scale = np.empty(n_bit) if jitter else None
     u = np.empty(n_bit)
-    for t in range(n_tiles):
+    for t, gen in enumerate(rng.generators("tile", n_tiles)):
         lo = t * tile.cols
         cells = min(tile.cols, n_bit - lo)
-        gen = rng.split("tile", t).generator
         if jitter:
             tau_scale[lo : lo + cells] = gen.lognormal(0.0, device.cell_jitter, size=cells)
         draws = gen.random(cells)  # even-column phase first, then odd

@@ -90,6 +90,8 @@ def evaluate(net: Network, dataset: Dataset) -> float:
     traffic, since at 512 images per forward every activation goes out to
     main memory and back.
     """
+    if len(dataset) == 0:
+        raise ValueError("evaluation set is empty")
     hits = 0
     for lo in range(0, len(dataset), EVAL_CHUNK):
         x = dataset.images[lo : lo + EVAL_CHUNK]
@@ -108,6 +110,8 @@ def train(
     """Train in place and return the per-minibatch metrics log."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
+    if len(test_set) == 0:
+        raise ValueError("test set is empty")
     root = RngState(protocol.seed)
     log = MetricsLog()
     velocities: dict[str, np.ndarray] = {}

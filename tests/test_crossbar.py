@@ -120,6 +120,9 @@ def test_plan_and_reports_are_frozen():
         area_report(plan).total_area_mm2 = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         power_report(plan, e_grad=0.5, e_weight=0.5).total_power_w = 0.0
+    _, gen_stats = generate_stream(0.3, 256, DeviceParams(), TileConfig(), RngState(4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen_stats.on_count = 0
 
 
 # ---------------------------------------------------------------------------

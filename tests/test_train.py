@@ -117,6 +117,17 @@ def test_empty_dataset_rejected(blobs):
         train(net, empty, test_set, OptimizerConfig(exec_mode="float"), TrainProtocol())
 
 
+def test_empty_test_set_rejected(blobs):
+    train_set, test_set = blobs
+    empty = dataclasses.replace(test_set, images=test_set.images[:0], labels=test_set.labels[:0])
+    net = table1_network(RngState(9))
+    with pytest.raises(ValueError, match="evaluation set is empty"):
+        evaluate(net, empty)
+    with pytest.raises(ValueError, match="test set is empty"):
+        train(net, train_set.subset(128), empty, OptimizerConfig(exec_mode="float"),
+              TrainProtocol())
+
+
 def test_evaluate_constant_predictor():
     test_set = synthetic_dataset(400, seed=44)
     net = reduced_network(RngState(10))
