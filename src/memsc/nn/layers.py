@@ -1,19 +1,25 @@
 """Minimal tensor layers with exact analytic backprop.
 
-Tensors are plain numpy arrays in row-major (B, C, H, W) layout. Each layer
-exposes forward(x, training) -> (y, cache) and
-backward(dy, cache, need_dx) -> (dx, grads); trainable layers publish their
-parameter arrays through params(). The cache exists only for backward:
-Conv2d, MaxPool2x2, BatchNorm and ReLU return None in eval mode
-(training=False), so inference holds no per-layer buffers. Convolutions are
+Activations come in two layouts. Training uses row-major (B, C, H, W) or
+(B, F) arrays: each layer exposes forward(x, training) -> (y, cache) and
+backward(dy, cache, need_dx) -> (dx, grads), and trainable layers publish
+their parameter arrays through params(). Evaluation runs batch-innermost,
+(C, H, W, B) or (F, B) (the layout of Krizhevsky's cuda-convnet), through
+each layer's infer(a), which maps one such array to the next and keeps no
+cache. forward(x, training=False) is infer between the two layout
+transposes, so every layer has one eval implementation. infer may
+overwrite its input, so it is only handed arrays the pipeline owns: the
+transpose into the batch-innermost layout always copies. Convolutions are
 stride-1/no-padding and pooling is 2x2/stride-2, which is all the adopted
 architecture needs.
 
 Convolution is im2col + GEMM (Chellapilla et al. 2006) on channel-major
-columns of shape (C*k*k, B*OH*OW), whose row (c, i, j) is channel c shifted
-by kernel offset (i, j): forward is W(F, C*k*k) @ cols, dW is
-dy(F, B*OH*OW) @ cols.T, and dX adds the k*k contiguous (B, OH, OW) blocks
-of W.T @ dy back into place (col2im).
+columns whose row (c, i, j) is channel c shifted by kernel offset (i, j).
+In training the columns are (C*k*k, B*OH*OW): forward is W(F, C*k*k) @ cols,
+dW is dy(F, B*OH*OW) @ cols.T, and dX adds the k*k contiguous (B, OH, OW)
+blocks of W.T @ dy back into place (col2im). In infer they are
+(C*k*k, OH*OW*B), copied as runs of OW*B floats from the (C, H, W*B) view,
+and W @ cols is already the (F, OH, OW, B) output.
 """
 
 from __future__ import annotations
@@ -22,7 +28,24 @@ import numpy as np
 
 from ..rng import RngState
 
-__all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
+__all__ = [
+    "Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear",
+    "to_batch_inner", "to_batch_outer",
+]
+
+
+def to_batch_inner(x):
+    """(B, ...) -> a C-contiguous (..., B) copy; a copy even when B = 1."""
+    return np.moveaxis(x, 0, -1).copy()
+
+
+def to_batch_outer(a):
+    """(..., B) -> C-contiguous (B, ...)."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _eval_forward(layer, x):
+    return to_batch_outer(layer.infer(to_batch_inner(x))), None
 
 
 def _uniform_init(shape, fan_in, rng: RngState, dtype):
@@ -45,7 +68,22 @@ class Conv2d:
     def params(self):
         return {"w": self.w, "b": self.b}
 
+    def infer(self, a):
+        c, h, w, b = a.shape
+        k = self.kernel
+        oh, ow = h - k + 1, w - k + 1
+        rows = a.reshape(c, h, w * b)
+        cols = np.empty((c, k, k, oh, ow * b), dtype=a.dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[:, i, j] = rows[:, i : i + oh, j * b : (j + ow) * b]
+        y = self.w.reshape(self.w.shape[0], -1) @ cols.reshape(c * k * k, -1)
+        y += self.b[:, None]
+        return y.reshape(-1, oh, ow, b)
+
     def forward(self, x, training=False):
+        if not training:
+            return _eval_forward(self, x)
         b, c, h, w = x.shape
         k = self.kernel
         oh, ow = h - k + 1, w - k + 1
@@ -58,7 +96,7 @@ class Conv2d:
         y = self.w.reshape(self.w.shape[0], -1) @ cols  # (F, B*OH*OW)
         y = np.ascontiguousarray(y.reshape(-1, b, oh, ow).transpose(1, 0, 2, 3))
         y += self.b[None, :, None, None]
-        return y, ((cols, x.shape) if training else None)
+        return y, (cols, x.shape)
 
     def backward(self, dy, cache, need_dx=True):
         cols, (b, c, h, w) = cache
@@ -115,14 +153,19 @@ class BatchNorm:
             return (0, 2, 3), (1, -1, 1, 1)
         return (0,), (1, -1)
 
+    def infer(self, a):
+        s = self.gamma / np.sqrt(self.running_var + self.eps)
+        t = self.beta - self.running_mean * s
+        shape = (-1,) + (1,) * (a.ndim - 1)
+        # in place unless a's dtype is narrower than the statistics'
+        y = np.multiply(a, s.reshape(shape), out=a if np.result_type(a, s) == a.dtype else None)
+        y += t.reshape(shape)
+        return y
+
     def forward(self, x, training=False):
-        axes, shape = self._axes_shape(x)
         if not training:
-            s = self.gamma / np.sqrt(self.running_var + self.eps)
-            t = self.beta - self.running_mean * s
-            y = x * s.reshape(shape)
-            y += t.reshape(shape)
-            return y, None
+            return _eval_forward(self, x)
+        axes, shape = self._axes_shape(x)
         b, c = x.shape[:2]
         mu = x.mean(axis=axes)
         xhat = x - mu.reshape(shape)
@@ -158,14 +201,31 @@ class ReLU:
     def __init__(self, name="relu"):
         self.name = name
 
+    def infer(self, a):
+        return np.maximum(a, 0, out=a)
+
     def forward(self, x, training=False):
         if not training:
-            return np.maximum(x, 0), None
+            return _eval_forward(self, x)
         mask = x > 0
         return x * mask, mask
 
     def backward(self, dy, cache, need_dx=True):
         return dy * cache, {}
+
+
+def _quadrant_max(x, axis):
+    """Elementwise maximum of the four stride-2 quadrants of axes (axis, axis+1)."""
+    h, w = x.shape[axis : axis + 2]
+    if h % 2 or w % 2:
+        raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
+    lead = (slice(None),) * axis
+
+    def quadrant(i, j):
+        return x[lead + (slice(i, None, 2), slice(j, None, 2))]
+
+    return np.maximum(np.maximum(quadrant(0, 0), quadrant(0, 1)),
+                      np.maximum(quadrant(1, 0), quadrant(1, 1)))
 
 
 class MaxPool2x2:
@@ -180,15 +240,14 @@ class MaxPool2x2:
     def __init__(self, name="pool"):
         self.name = name
 
+    def infer(self, a):
+        return _quadrant_max(a, 1)
+
     def forward(self, x, training=False):
-        h, w = x.shape[2:]
-        if h % 2 or w % 2:
-            raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-        y = np.maximum(
-            np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-            np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
-        )
-        return y, ((x, y) if training else None)
+        if not training:
+            return _eval_forward(self, x)
+        y = _quadrant_max(x, 2)
+        return y, (x, y)
 
     def backward(self, dy, cache, need_dx=True):
         x, y = cache
@@ -207,7 +266,12 @@ class Flatten:
     def __init__(self, name="flatten"):
         self.name = name
 
+    def infer(self, a):
+        return a.reshape(-1, a.shape[-1])  # rows in (c, h, w) order, as forward's columns
+
     def forward(self, x, training=False):
+        if not training:
+            return _eval_forward(self, x)
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, dy, cache, need_dx=True):
@@ -223,7 +287,14 @@ class Linear:
     def params(self):
         return {"w": self.w, "b": self.b}
 
+    def infer(self, a):
+        # x @ w.T on the (B, in) copy, not w @ a: the GEMM with swapped
+        # operands rounds differently
+        return (np.ascontiguousarray(a.T) @ self.w.T + self.b).T
+
     def forward(self, x, training=False):
+        if not training:
+            return _eval_forward(self, x)
         return x @ self.w.T + self.b, x
 
     def backward(self, dy, cache, need_dx=True):

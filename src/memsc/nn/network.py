@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import RngState
-from .layers import BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU
+from .layers import (
+    BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU, to_batch_inner, to_batch_outer,
+)
 
 __all__ = ["Network", "table1_network", "reduced_network"]
 
@@ -24,9 +26,21 @@ class Network:
         self.input_shape = tuple(input_shape)  # (C, H, W) without batch
 
     def forward(self, x, training=False):
-        """Run the stack; returns (logits, caches) for a later backward."""
+        """Run the stack on a (B, C, H, W) batch; returns (logits, caches).
+
+        Training runs each layer's forward and keeps its cache for a later
+        backward. Evaluation copies x once into the batch-innermost
+        (C, H, W, B) layout, runs each layer's infer on it and transposes
+        the (classes, B) logits back; every cache is then None. x is never
+        written to.
+        """
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ValueError(f"expected batch of shape (B, {self.input_shape}), got {x.shape}")
+        if not training:
+            a = to_batch_inner(x)
+            for layer in self.layers:
+                a = layer.infer(a)
+            return to_batch_outer(a), [None] * len(self.layers)
         caches = []
         for layer in self.layers:
             x, cache = layer.forward(x, training)

@@ -8,9 +8,11 @@ norm-ratio metric.
 import numpy as np
 import pytest
 
+from memsc.nn import TrainProtocol, synthetic_dataset, train
 from memsc.nn.layers import BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU
 from memsc.nn.loss import cross_entropy
 from memsc.nn.network import reduced_network, table1_network
+from memsc.optimizer import OptimizerConfig
 from memsc.rng import RngState
 
 
@@ -377,3 +379,125 @@ def test_backward_cache_mismatch():
     net = reduced_network(RngState(5))
     with pytest.raises(ValueError):
         net.backward([], np.zeros((1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# batch-innermost evaluation against the (B, C, H, W) eval forward it replaced
+# ---------------------------------------------------------------------------
+
+def reference_eval(layer, x):
+    """The row-major eval forward each layer ran before infer (the oracle)."""
+    if isinstance(layer, Conv2d):
+        b, c, h, w = x.shape
+        k = layer.kernel
+        oh, ow = h - k + 1, w - k + 1
+        xt = x.transpose(1, 0, 2, 3)
+        cols = np.empty((c, k, k, b, oh, ow), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[:, i, j] = xt[:, :, i : i + oh, j : j + ow]
+        y = layer.w.reshape(layer.w.shape[0], -1) @ cols.reshape(c * k * k, -1)
+        y = np.ascontiguousarray(y.reshape(-1, b, oh, ow).transpose(1, 0, 2, 3))
+        y += layer.b[None, :, None, None]
+        return y
+    if isinstance(layer, BatchNorm):
+        shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
+        s = layer.gamma / np.sqrt(layer.running_var + layer.eps)
+        t = layer.beta - layer.running_mean * s
+        y = x * s.reshape(shape)
+        y += t.reshape(shape)
+        return y
+    if isinstance(layer, ReLU):
+        return np.maximum(x, 0)
+    if isinstance(layer, MaxPool2x2):
+        return np.maximum(
+            np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+            np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
+        )
+    if isinstance(layer, Flatten):
+        return x.reshape(x.shape[0], -1)
+    return x @ layer.w.T + layer.b
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def trained_nets():
+    """Briefly trained nets, so BatchNorm's running statistics are not 0 and 1."""
+    nets = {}
+    digits = synthetic_dataset(256, seed=30), synthetic_dataset(32, seed=31)
+    for mode in ("float", "binomial"):
+        net = table1_network(RngState(40))
+        train(net, *digits, OptimizerConfig(exec_mode=mode, n_bit=4096),
+              TrainProtocol(batch_size=128, seed=41, eval_every=0))
+        nets[f"table1-{mode}"] = net
+    shape = dict(classes=3, size=6)
+    small = synthetic_dataset(256, seed=32, **shape), synthetic_dataset(32, seed=33, **shape)
+    net = reduced_network(RngState(42), dtype=np.float64)
+    train(net, *small, OptimizerConfig(exec_mode="float"),
+          TrainProtocol(batch_size=64, seed=43, eval_every=0))
+    nets["reduced-float64"] = net
+    return nets
+
+
+def eval_inputs(net, batch, seed):
+    dtype = net.layers[0].w.dtype
+    gen = np.random.default_rng([seed, batch])
+    return gen.uniform(0.0, 1.0, size=(batch,) + net.input_shape).astype(dtype)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 32, 64, 100, 300])
+@pytest.mark.parametrize("name", ["table1-float", "table1-binomial", "reduced-float64"])
+def test_eval_forward_bit_identical_to_row_major(trained_nets, name, batch):
+    net = trained_nets[name]
+    for seed in range(3):
+        x = eval_inputs(net, batch, seed)
+        want = x
+        for layer in net.layers:
+            want = reference_eval(layer, want)
+        logits, caches = net.forward(x, training=False)
+        assert same_bits(logits, want) and logits.flags.c_contiguous
+        assert caches == [None] * len(net.layers)
+        y = x
+        for layer in net.layers:
+            y_ref = reference_eval(layer, y)
+            y, cache = layer.forward(y, False)
+            assert cache is None and same_bits(y, y_ref), layer.name
+            assert y.flags.c_contiguous, layer.name
+
+
+@pytest.mark.parametrize("x_dtype, bn_dtype", [
+    (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32),
+])
+def test_batchnorm_eval_dtype_as_row_major(x_dtype, bn_dtype):
+    # infer scales in place only when that keeps the row-major result dtype
+    bn = BatchNorm("bn", 3, dtype=bn_dtype)
+    gen = np.random.default_rng(19)
+    bn.forward(gen.normal(1.0, 2.0, size=(8, 3, 4, 4)).astype(bn_dtype), training=True)
+    for shape in ((5, 3, 4, 4), (5, 3)):
+        x = gen.normal(size=shape).astype(x_dtype)
+        y, _ = bn.forward(x, False)
+        assert same_bits(y, reference_eval(bn, x))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_eval_forward_leaves_input_unchanged(trained_nets, batch):
+    # infer works in place on the arrays it owns; the copy into the
+    # batch-innermost layout must happen even when B = 1 makes it a view
+    net = trained_nets["table1-float"]
+    x = eval_inputs(net, batch, 0) - 0.5
+    saved = x.copy()
+    net.forward(x, training=False)
+    assert same_bits(x, saved)
+    for layer in net.layers:
+        layer_in = x.copy()
+        y, _ = layer.forward(x, False)
+        assert same_bits(x, layer_in), layer.name
+        assert not np.shares_memory(x, y), layer.name
+        x = y
+    negative = -np.ones((batch, 4))
+    ReLU().forward(negative, False)
+    BatchNorm("bn", 4).forward(negative, False)
+    assert np.all(negative == -1.0)

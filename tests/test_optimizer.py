@@ -314,3 +314,47 @@ def test_update_tensor_non_finite_state_rejected(exec_mode, where, bad):
     state[where][1] = bad
     with pytest.raises(ValueError, match="parameters and velocity must be finite"):
         update_tensor(state["params"], np.zeros(2), c, rng("nf"), velocity=state["velocity"])
+
+
+# ---------------------------------------------------------------------------
+# zero-gradient noise law
+# ---------------------------------------------------------------------------
+
+def _zero_gradient_law(theta, n_bit):
+    """Mean and variance of one SGD step at g = 0.
+
+    The product stream -eta*g has one-probability 1/2, so the half-sum has
+    p = (theta+1)/4 + 1/4, and the doubled decode 4*popcount/n - 2 has mean
+    theta and variance 16*p*(1-p)/n.
+    """
+    p = (theta + 1.0) / 4.0 + 0.25
+    return theta, 16.0 * p * (1.0 - p) / n_bit
+
+
+def _assert_noise_law(draws, theta, n_bit):
+    # two-sided at p = 0.001: the mean against the normal, the sample
+    # variance against chi-square with n - 1 degrees of freedom
+    mean, var = _zero_gradient_law(theta, n_bit)
+    n = draws.size
+    assert 1.0 - theta >= 6 * np.sqrt(var) and 1.0 + theta >= 6 * np.sqrt(var)  # clamp idle
+    z = stats.norm.ppf(1 - 0.0005)
+    assert abs(draws.mean() - mean) <= z * np.sqrt(var / n)
+    chi2 = (n - 1) * draws.var(ddof=1) / var
+    assert stats.chi2.ppf(0.0005, n - 1) <= chi2 <= stats.chi2.ppf(1 - 0.0005, n - 1)
+
+
+@pytest.mark.parametrize("n_bit", [1024, 16384])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.5])
+def test_zero_gradient_noise_law_binomial(theta, n_bit):
+    params = np.full(20_000, theta)
+    new, _, _ = update_tensor(params, np.zeros_like(params), cfg(n_bit=n_bit),
+                              rng("noise-law", n_bit, theta))
+    _assert_noise_law(new, theta, n_bit)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_zero_gradient_noise_law_bitexact(theta):
+    c = cfg(n_bit=4096)
+    draws = np.array([sc_sgd_step(theta, 0.0, c, rng("noise-law-bits", theta, k))
+                      for k in range(600)])
+    _assert_noise_law(draws, theta, 4096)

@@ -1,6 +1,7 @@
 """Training-loop behavior on the synthetic corpus (fast, seeded)."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -71,16 +72,64 @@ def test_binomial_mode_determinism(blobs):
         assert da == db
 
 
-def test_eval_cadence_default_one_epoch(blobs):
+def test_eval_cadence_default_one_epoch(blobs, monkeypatch):
     train_set, test_set = blobs
     net = table1_network(RngState(6))
     cfg = OptimizerConfig(exec_mode="float")
+    # record each update call's (E, size) to rebuild every step's E
+    train_module = importlib.import_module("memsc.nn.train")
+    update = train_module.update_tensor
+    calls = []
+
+    def spy(params, grads, *args, **kwargs):
+        out = update(params, grads, *args, **kwargs)
+        calls.append((out[2], params.size))
+        return out
+
+    monkeypatch.setattr(train_module, "update_tensor", spy)
     log = train(net, train_set.subset(256), test_set.subset(64), cfg,
                 TrainProtocol(epochs=1, batch_size=128, seed=3))
     # default cadence in 1-epoch mode: accuracy on every minibatch
     assert all(r.test_accuracy is not None for r in log.records)
-    assert log.records[0].e_grad_stat is not None
-    assert all(r.e_grad_stat is None for r in log.records[1:])
+    # every record carries its own step's size-weighted E; step 1's value
+    # is pinned from when E was stored at step 1 only
+    per_step = len(net.params())
+    assert len(calls) == per_step * len(log)
+    for k, record in enumerate(log.records):
+        step = calls[k * per_step : (k + 1) * per_step]
+        want = sum(e * size for e, size in step) / sum(size for _, size in step)
+        assert record.e_grad_stat == want
+    assert log.records[0].e_grad_stat == 0.49983362841444606
+
+
+def test_metrics_record_is_frozen(blobs):
+    train_set, test_set = blobs
+    log = train(table1_network(RngState(6)), train_set.subset(128), test_set.subset(32),
+                OptimizerConfig(exec_mode="float"), TrainProtocol(batch_size=128))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.records[0].e_grad_stat = None
+
+
+@pytest.mark.parametrize("bad", [
+    dict(batch_size=0),
+    dict(batch_size=-5),
+    dict(batch_size=2.0),
+    dict(batch_size=True),
+    dict(epochs=0),
+    dict(epochs=1.5),
+    dict(epochs=-1),
+    dict(eval_every=-2),
+    dict(eval_every=0.5),
+])
+def test_train_protocol_rejects_bad_settings(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        TrainProtocol(**bad)
+
+
+def test_train_protocol_accepts_good_settings():
+    for good in (dict(), dict(epochs=3, batch_size=1, eval_every=0),
+                 dict(eval_every=None), dict(batch_size=np.int64(32), eval_every=5)):
+        TrainProtocol(**good)
 
 
 def test_eval_cadence_multi_epoch(blobs):
