@@ -76,21 +76,15 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(images, labels)  # count mismatch rejected by Dataset
 
 
-def synthetic_dataset(
-    n: int, seed: int, classes: int = 10, size: int = 28, noise: float = 0.15
-) -> Dataset:
+def synthetic_dataset(n: int, seed: int, classes: int = 10, size: int = 28) -> Dataset:
     """Seeded Gaussian-blob stand-in for tests without the real corpus.
 
     Each class is a fixed template of three blobs at class-specific
     positions. The templates depend only on ``classes`` and ``size``, not
     on ``seed``, so sets drawn with different seeds (a train and a test
     split, say) hold the same classes. ``seed`` draws the labels and each
-    sample's intensity jitter and additive Gaussian pixel noise of standard
-    deviation ``noise``; pixels are then clipped to [0, 1]. A larger
-    ``noise`` gives a harder task with the same draws.
+    sample's intensity jitter and additive noise.
     """
-    if not np.isfinite(noise) or noise < 0:
-        raise ValueError(f"noise must be a finite sigma >= 0, got {noise!r}")
     template_gen = np.random.default_rng(_TEMPLATE_SEED)
     yy, xx = np.mgrid[0:size, 0:size]
     templates = np.zeros((classes, size, size))
@@ -103,6 +97,6 @@ def synthetic_dataset(
     gen = np.random.default_rng(seed)
     labels = gen.integers(0, classes, n)
     amplitude = gen.uniform(0.6, 1.0, n)[:, None, None]
-    pixel_noise = gen.normal(0.0, noise, (n, size, size))
-    images = np.clip(templates[labels] * amplitude + pixel_noise, 0.0, 1.0)
+    noise = gen.normal(0.0, 0.15, (n, size, size))
+    images = np.clip(templates[labels] * amplitude + noise, 0.0, 1.0)
     return Dataset(images[:, None, :, :].astype(np.float32), labels.astype(np.int64))

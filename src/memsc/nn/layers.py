@@ -28,24 +28,21 @@ import numpy as np
 
 from ..rng import RngState
 
-__all__ = [
-    "Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear",
-    "to_batch_inner", "to_batch_outer",
-]
+__all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
 
 
-def to_batch_inner(x):
+def _to_batch_inner(x):
     """(B, ...) -> a C-contiguous (..., B) copy; a copy even when B = 1."""
     return np.moveaxis(x, 0, -1).copy()
 
 
-def to_batch_outer(a):
+def _to_batch_outer(a):
     """(..., B) -> C-contiguous (B, ...)."""
     return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 def _eval_forward(layer, x):
-    return to_batch_outer(layer.infer(to_batch_inner(x))), None
+    return _to_batch_outer(layer.infer(_to_batch_inner(x))), None
 
 
 def _uniform_init(shape, fan_in, rng: RngState, dtype):

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import RngState
-from .layers import (
-    BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU, to_batch_inner, to_batch_outer,
-)
+from .layers import BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU
+from .layers import _to_batch_inner, _to_batch_outer
 
 __all__ = ["Network", "table1_network", "reduced_network"]
 
@@ -37,10 +36,10 @@ class Network:
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ValueError(f"expected batch of shape (B, {self.input_shape}), got {x.shape}")
         if not training:
-            a = to_batch_inner(x)
+            a = _to_batch_inner(x)
             for layer in self.layers:
                 a = layer.infer(a)
-            return to_batch_outer(a), [None] * len(self.layers)
+            return _to_batch_outer(a), [None] * len(self.layers)
         caches = []
         for layer in self.layers:
             x, cache = layer.forward(x, training)

@@ -92,14 +92,15 @@ def test_eval_cadence_default_one_epoch(blobs, monkeypatch):
     # default cadence in 1-epoch mode: accuracy on every minibatch
     assert all(r.test_accuracy is not None for r in log.records)
     # every record carries its own step's size-weighted E; step 1's value
-    # is pinned from when E was stored at step 1 only
+    # matches the one recorded before E was stored every step (taken on one
+    # host; float32 conv GEMMs may differ in the low bits elsewhere)
     per_step = len(net.params())
     assert len(calls) == per_step * len(log)
     for k, record in enumerate(log.records):
         step = calls[k * per_step : (k + 1) * per_step]
         want = sum(e * size for e, size in step) / sum(size for _, size in step)
         assert record.e_grad_stat == want
-    assert log.records[0].e_grad_stat == 0.49983362841444606
+    assert log.records[0].e_grad_stat == pytest.approx(0.49983362841444606, rel=1e-6)
 
 
 def test_metrics_record_is_frozen(blobs):
