@@ -1,25 +1,27 @@
 """Minimal tensor layers with exact analytic backprop.
 
-Activations come in two layouts. Training uses row-major (B, C, H, W) or
-(B, F) arrays: each layer exposes forward(x, training) -> (y, cache) and
-backward(dy, cache, need_dx) -> (dx, grads), and trainable layers publish
-their parameter arrays through params(). Evaluation runs batch-innermost,
-(C, H, W, B) or (F, B) (the layout of Krizhevsky's cuda-convnet), through
-each layer's infer(a), which maps one such array to the next and keeps no
-cache. forward(x, training=False) is infer between the two layout
-transposes, so every layer has one eval implementation. infer may
-overwrite its input, so it is only handed arrays the pipeline owns: the
-transpose into the batch-innermost layout always copies. Convolutions are
-stride-1/no-padding and pooling is 2x2/stride-2, which is all the adopted
-architecture needs.
+Activations live in one layout, batch-innermost: (C, H, W, B) or (F, B),
+the layout of Krizhevsky's cuda-convnet. Each layer has three kernels on
+it: train_forward(a) -> (y, cache), train_backward(da, cache, need_dx) ->
+(dx, grads) and infer(a), which keeps no cache. Trainable layers publish
+their parameter arrays through params(). A Network copies its (B, C, H, W)
+input into the layout once and runs one kernel per layer.
+
+The row-major forward(x, training) -> (y, cache) and backward(dy, cache,
+need_dx) -> (dx, grads) on (B, C, H, W) or (B, F) arrays are one shared
+adaptor, Layer: transpose in, run the kernel, transpose out. The transpose
+in always copies, so a layer never writes to or returns its caller's
+array. infer may overwrite its input, so it is only handed arrays the
+pipeline owns; the training kernels write to no input, since caches may
+hold them. Convolutions are stride-1/no-padding and pooling is
+2x2/stride-2, which is all the adopted architecture needs.
 
 Convolution is im2col + GEMM (Chellapilla et al. 2006) on channel-major
-columns whose row (c, i, j) is channel c shifted by kernel offset (i, j).
-In training the columns are (C*k*k, B*OH*OW): forward is W(F, C*k*k) @ cols,
-dW is dy(F, B*OH*OW) @ cols.T, and dX adds the k*k contiguous (B, OH, OW)
-blocks of W.T @ dy back into place (col2im). In infer they are
-(C*k*k, OH*OW*B), copied as runs of OW*B floats from the (C, H, W*B) view,
-and W @ cols is already the (F, OH, OW, B) output.
+columns (C*k*k, OH*OW*B), whose row (c, i, j) is channel c shifted by
+kernel offset (i, j), copied as runs of OW*B floats from the (C, H, W*B)
+view. W(F, C*k*k) @ cols is already the (F, OH, OW, B) output, dW is
+dy(F, OH*OW*B) @ cols.T, and dX adds the k*k runs of W.T @ dy back into
+place (col2im).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from ..rng import RngState
 
-__all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
+__all__ = ["Layer", "Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
 
 
 def _to_batch_inner(x):
@@ -41,10 +43,6 @@ def _to_batch_outer(a):
     return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
-def _eval_forward(layer, x):
-    return _to_batch_outer(layer.infer(_to_batch_inner(x))), None
-
-
 def _uniform_init(shape, fan_in, rng: RngState, dtype):
     # uniform in [-s, s] with s = sqrt(1/fan_in), clamped to the bipolar
     # storage range (a no-op at these scales, kept for the contract)
@@ -53,7 +51,27 @@ def _uniform_init(shape, fan_in, rng: RngState, dtype):
     return np.clip(w, -1.0, 1.0).astype(dtype)
 
 
-class Conv2d:
+class Layer:
+    """Row-major forward/backward over a layer's batch-innermost kernels.
+
+    Subclasses define infer, train_forward and train_backward; caches are
+    in the batch-innermost layout, so a cache from forward(x, True) goes to
+    backward, and one from Network.forward to Network.backward.
+    """
+
+    def forward(self, x, training=False):
+        a = _to_batch_inner(x)
+        if not training:
+            return _to_batch_outer(self.infer(a)), None
+        y, cache = self.train_forward(a)
+        return _to_batch_outer(y), cache
+
+    def backward(self, dy, cache, need_dx=True):
+        dx, grads = self.train_backward(_to_batch_inner(dy), cache, need_dx)
+        return (None if dx is None else _to_batch_outer(dx)), grads
+
+
+class Conv2d(Layer):
     """Stride-1 valid convolution (cross-correlation) with bias."""
 
     def __init__(self, name, in_ch, out_ch, kernel, rng: RngState, dtype=np.float32):
@@ -66,6 +84,9 @@ class Conv2d:
         return {"w": self.w, "b": self.b}
 
     def infer(self, a):
+        return self.train_forward(a)[0]
+
+    def train_forward(self, a):
         c, h, w, b = a.shape
         k = self.kernel
         oh, ow = h - k + 1, w - k + 1
@@ -74,47 +95,31 @@ class Conv2d:
         for i in range(k):
             for j in range(k):
                 cols[:, i, j] = rows[:, i : i + oh, j * b : (j + ow) * b]
-        y = self.w.reshape(self.w.shape[0], -1) @ cols.reshape(c * k * k, -1)
+        cols = cols.reshape(c * k * k, -1)
+        y = self.w.reshape(self.w.shape[0], -1) @ cols
         y += self.b[:, None]
-        return y.reshape(-1, oh, ow, b)
+        return y.reshape(-1, oh, ow, b), (cols, a.shape)
 
-    def forward(self, x, training=False):
-        if not training:
-            return _eval_forward(self, x)
-        b, c, h, w = x.shape
+    def train_backward(self, da, cache, need_dx=True):
+        cols, (c, h, w, b) = cache
         k = self.kernel
-        oh, ow = h - k + 1, w - k + 1
-        xt = x.transpose(1, 0, 2, 3)
-        cols = np.empty((c, k, k, b, oh, ow), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[:, i, j] = xt[:, :, i : i + oh, j : j + ow]
-        cols = cols.reshape(c * k * k, b * oh * ow)
-        y = self.w.reshape(self.w.shape[0], -1) @ cols  # (F, B*OH*OW)
-        y = np.ascontiguousarray(y.reshape(-1, b, oh, ow).transpose(1, 0, 2, 3))
-        y += self.b[None, :, None, None]
-        return y, (cols, x.shape)
-
-    def backward(self, dy, cache, need_dx=True):
-        cols, (b, c, h, w) = cache
-        k = self.kernel
-        _, f, oh, ow = dy.shape
-        dyt = dy.transpose(1, 0, 2, 3).reshape(f, -1)  # (F, B*OH*OW)
-        dw = (dyt @ cols.T).reshape(self.w.shape)
-        db = dy.sum(axis=(0, 2, 3))
+        f, oh, ow, _ = da.shape
+        dy = da.reshape(f, -1)  # (F, OH*OW*B)
+        dw = (dy @ cols.T).reshape(self.w.shape)
+        db = dy.sum(axis=1)
         dx = None
         if need_dx:
-            dcols = (self.w.reshape(f, -1).T @ dyt).reshape(c, k, k, b, oh, ow)
-            dxt = np.zeros((c, b, h, w), dtype=dcols.dtype)
+            dcols = (self.w.reshape(f, -1).T @ dy).reshape(c, k, k, oh, ow * b)
+            dx = np.zeros((c, h, w * b), dtype=dcols.dtype)
             for i in range(k):
                 for j in range(k):
-                    dxt[:, :, i : i + oh, j : j + ow] += dcols[:, i, j]
-            dx = np.ascontiguousarray(dxt.transpose(1, 0, 2, 3))
+                    dx[:, i : i + oh, j * b : (j + ow) * b] += dcols[:, i, j]
+            dx = dx.reshape(c, h, w, b)
         return dx, {"w": dw.astype(self.w.dtype), "b": db.astype(self.b.dtype)}
 
 
-class BatchNorm:
-    """Batch normalization over (B,) or (B, H, W) per channel.
+class BatchNorm(Layer):
+    """Batch normalization per channel over the batch and any spatial axes.
 
     Training mode normalizes with batch statistics and folds them into the
     running estimates; evaluation mode uses the running statistics only.
@@ -124,7 +129,8 @@ class BatchNorm:
     of Ioffe & Szegedy 2015, with no weight left on the initial 0 and 1),
     and after that an exponential moving average with momentum 0.1.
 
-    Backward is the closed form over the n = B*H*W values of a channel,
+    The statistics are taken over the (C, N) view of the batch-innermost
+    array, N = H*W*B. Backward is the closed form over those n values,
     dx = gamma*inv * (dy - dbeta/n - xhat*dgamma/n) with dgamma = sum(dy*xhat)
     and dbeta = sum(dy), inv = 1/sqrt(var + eps); it sums to zero per
     channel, so a bias feeding batch normalization gets no gradient.
@@ -145,11 +151,6 @@ class BatchNorm:
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
 
-    def _axes_shape(self, x):
-        if x.ndim == 4:
-            return (0, 2, 3), (1, -1, 1, 1)
-        return (0,), (1, -1)
-
     def infer(self, a):
         s = self.gamma / np.sqrt(self.running_var + self.eps)
         t = self.beta - self.running_mean * s
@@ -159,56 +160,52 @@ class BatchNorm:
         y += t.reshape(shape)
         return y
 
-    def forward(self, x, training=False):
-        if not training:
-            return _eval_forward(self, x)
-        axes, shape = self._axes_shape(x)
-        b, c = x.shape[:2]
-        mu = x.mean(axis=axes)
-        xhat = x - mu.reshape(shape)
-        centred = xhat.reshape(b, c, -1)
-        var = np.einsum("bcs,bcs->c", centred, centred) / (x.size // c)
+    def train_forward(self, a):
+        c = a.shape[0]
+        flat = a.reshape(c, -1)
+        mu = flat.mean(axis=1)
+        xhat = flat - mu[:, None]
+        var = np.einsum("cn,cn->c", xhat, xhat) / flat.shape[1]
         self.batches_seen += 1
         m = max(self.momentum, 1.0 / self.batches_seen)
         self.running_mean[...] = (1 - m) * self.running_mean + m * mu
         self.running_var[...] = (1 - m) * self.running_var + m * var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv.reshape(shape)
-        y = xhat * self.gamma.reshape(shape)
-        y += self.beta.reshape(shape)
-        return y, (xhat, inv, axes, shape)
+        xhat *= inv[:, None]
+        y = xhat * self.gamma[:, None]
+        y += self.beta[:, None]
+        # the cached xhat is (C, N); its reduction axes are (1,)
+        return y.reshape(a.shape), (xhat, inv, (1,), a.shape)
 
-    def backward(self, dy, cache, need_dx=True):
+    def train_backward(self, da, cache, need_dx=True):
         xhat, inv, axes, shape = cache
-        b, c = dy.shape[:2]
-        n = dy.size // c
-        dgamma = np.einsum("bcs,bcs->c", dy.reshape(b, c, -1), xhat.reshape(b, c, -1))
+        dy = da.reshape(xhat.shape)
+        n = xhat.shape[1]
+        dgamma = np.einsum("cn,cn->c", dy, xhat)
         dbeta = dy.sum(axis=axes)
-        dx = xhat * (-dgamma / n).reshape(shape)
+        dx = xhat * (-dgamma / n)[:, None]
         dx += dy
-        dx -= (dbeta / n).reshape(shape)
-        dx *= (self.gamma * inv).reshape(shape)
-        return dx.astype(dy.dtype, copy=False), {
+        dx -= (dbeta / n)[:, None]
+        dx *= (self.gamma * inv)[:, None]
+        return dx.reshape(shape).astype(da.dtype, copy=False), {
             "gamma": dgamma.astype(self.gamma.dtype),
             "beta": dbeta.astype(self.beta.dtype),
         }
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self, name="relu"):
         self.name = name
 
     def infer(self, a):
         return np.maximum(a, 0, out=a)
 
-    def forward(self, x, training=False):
-        if not training:
-            return _eval_forward(self, x)
-        mask = x > 0
-        return x * mask, mask
+    def train_forward(self, a):
+        mask = a > 0
+        return a * mask, mask
 
-    def backward(self, dy, cache, need_dx=True):
-        return dy * cache, {}
+    def train_backward(self, da, cache, need_dx=True):
+        return da * cache, {}
 
 
 def _quadrant_max(x, axis):
@@ -225,7 +222,7 @@ def _quadrant_max(x, axis):
                       np.maximum(quadrant(1, 0), quadrant(1, 1)))
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     """2x2 max pooling with stride 2 (even spatial dims required).
 
     The output is the elementwise maximum of the four stride-2 quadrants.
@@ -240,42 +237,38 @@ class MaxPool2x2:
     def infer(self, a):
         return _quadrant_max(a, 1)
 
-    def forward(self, x, training=False):
-        if not training:
-            return _eval_forward(self, x)
-        y = _quadrant_max(x, 2)
-        return y, (x, y)
+    def train_forward(self, a):
+        y = _quadrant_max(a, 1)
+        return y, (a, y)
 
-    def backward(self, dy, cache, need_dx=True):
-        x, y = cache
-        dx = np.empty(x.shape, dtype=dy.dtype)
+    def train_backward(self, da, cache, need_dx=True):
+        a, y = cache
+        dx = np.empty(a.shape, dtype=da.dtype)
         free = np.ones(y.shape, dtype=bool)  # windows whose maximum is unclaimed
         hit = np.empty(y.shape, dtype=bool)
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            np.equal(x[:, :, i::2, j::2], y, out=hit)
+            np.equal(a[:, i::2, j::2], y, out=hit)
             hit &= free
-            np.multiply(dy, hit, out=dx[:, :, i::2, j::2])
+            np.multiply(da, hit, out=dx[:, i::2, j::2])
             free &= ~hit
         return dx, {}
 
 
-class Flatten:
+class Flatten(Layer):
     def __init__(self, name="flatten"):
         self.name = name
 
     def infer(self, a):
-        return a.reshape(-1, a.shape[-1])  # rows in (c, h, w) order, as forward's columns
+        return self.train_forward(a)[0]
 
-    def forward(self, x, training=False):
-        if not training:
-            return _eval_forward(self, x)
-        return x.reshape(x.shape[0], -1), x.shape
+    def train_forward(self, a):
+        return a.reshape(-1, a.shape[-1]), a.shape  # rows in (c, h, w) order
 
-    def backward(self, dy, cache, need_dx=True):
-        return dy.reshape(cache), {}
+    def train_backward(self, da, cache, need_dx=True):
+        return da.reshape(cache), {}
 
 
-class Linear:
+class Linear(Layer):
     def __init__(self, name, in_features, out_features, rng: RngState, dtype=np.float32):
         self.name = name
         self.w = _uniform_init((out_features, in_features), in_features, rng, dtype)
@@ -285,18 +278,17 @@ class Linear:
         return {"w": self.w, "b": self.b}
 
     def infer(self, a):
+        return self.train_forward(a)[0]
+
+    def train_forward(self, a):
         # x @ w.T on the (B, in) copy, not w @ a: the GEMM with swapped
         # operands rounds differently
-        return (np.ascontiguousarray(a.T) @ self.w.T + self.b).T
+        x = np.ascontiguousarray(a.T)
+        return (x @ self.w.T + self.b).T, x
 
-    def forward(self, x, training=False):
-        if not training:
-            return _eval_forward(self, x)
-        return x @ self.w.T + self.b, x
-
-    def backward(self, dy, cache, need_dx=True):
+    def train_backward(self, da, cache, need_dx=True):
         x = cache
-        dw = dy.T @ x
-        db = dy.sum(axis=0)
-        dx = dy @ self.w if need_dx else None
+        dw = da @ x
+        db = da.sum(axis=1)
+        dx = (da.T @ self.w).T if need_dx else None
         return dx, {"w": dw.astype(self.w.dtype), "b": db.astype(self.b.dtype)}

@@ -25,36 +25,43 @@ class Network:
         self.input_shape = tuple(input_shape)  # (C, H, W) without batch
 
     def forward(self, x, training=False):
-        """Run the stack on a (B, C, H, W) batch; returns (logits, caches).
+        """Run the stack on a (B, C, H, W) batch, B >= 1; returns (logits, caches).
 
-        Training runs each layer's forward and keeps its cache for a later
-        backward. Evaluation copies x once into the batch-innermost
-        (C, H, W, B) layout, runs each layer's infer on it and transposes
-        the (classes, B) logits back; every cache is then None. x is never
-        written to.
+        x is copied once into the batch-innermost (C, H, W, B) layout and
+        never written to. Training runs each layer's train_forward and
+        keeps its cache for backward; evaluation runs each layer's infer and
+        every cache is None. The (classes, B) logits are transposed back to
+        (B, classes).
         """
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ValueError(f"expected batch of shape (B, {self.input_shape}), got {x.shape}")
+        if x.shape[0] == 0:
+            raise ValueError("empty batch: B must be >= 1")
+        a = _to_batch_inner(x)
         if not training:
-            a = _to_batch_inner(x)
             for layer in self.layers:
                 a = layer.infer(a)
             return _to_batch_outer(a), [None] * len(self.layers)
         caches = []
         for layer in self.layers:
-            x, cache = layer.forward(x, training)
+            a, cache = layer.train_forward(a)
             caches.append(cache)
-        return x, caches
+        return _to_batch_outer(a), caches
 
     def backward(self, caches, dlogits):
-        """Gradients for every trainable tensor, keyed '<layer>.<param>'."""
+        """Gradients for every trainable tensor, keyed '<layer>.<param>'.
+
+        caches come from forward(x, training=True). dlogits (B, classes) is
+        copied once into the (classes, B) layout and never written to; each
+        layer's train_backward then runs in reverse order.
+        """
         if len(caches) != len(self.layers):
             raise ValueError("cache does not match this network's layer stack")
         grads = {}
-        dy = dlogits
+        da = _to_batch_inner(dlogits)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            dy, layer_grads = layer.backward(dy, caches[i], need_dx=(i > 0))
+            da, layer_grads = layer.train_backward(da, caches[i], need_dx=(i > 0))
             for key, g in layer_grads.items():
                 grads[f"{layer.name}.{key}"] = g
         return grads

@@ -28,7 +28,7 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainProtocol:
     epochs: int = 1
     batch_size: int = 256

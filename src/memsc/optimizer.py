@@ -41,7 +41,7 @@ MODES = ("sgd", "momentum")
 EXEC_MODES = ("float", "bitexact", "binomial")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     mode: str = "sgd"
     eta: float = 0.5

@@ -321,6 +321,13 @@ def test_forward_shape_contract():
         net.forward(np.zeros((1, 1, 27, 27), dtype=np.float32))
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_rejects_empty_batch(training):
+    net = table1_network(RngState(3))
+    with pytest.raises(ValueError, match="empty batch"):
+        net.forward(np.zeros((0, 1, 28, 28), dtype=np.float32), training)
+
+
 def test_zero_dlogits_give_zero_gradients():
     net = reduced_network(RngState(4))
     x = np.random.default_rng(9).normal(size=(2, 1, 6, 6))
@@ -382,11 +389,12 @@ def test_backward_cache_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# batch-innermost evaluation against the (B, C, H, W) eval forward it replaced
+# batch-innermost training and evaluation against the (B, C, H, W) kernels
+# they replaced
 # ---------------------------------------------------------------------------
 
-def reference_eval(layer, x):
-    """The row-major eval forward each layer ran before infer (the oracle)."""
+def reference_train_forward(layer, x):
+    """The row-major training forward each layer ran before train_forward."""
     if isinstance(layer, Conv2d):
         b, c, h, w = x.shape
         k = layer.kernel
@@ -396,10 +404,94 @@ def reference_eval(layer, x):
         for i in range(k):
             for j in range(k):
                 cols[:, i, j] = xt[:, :, i : i + oh, j : j + ow]
-        y = layer.w.reshape(layer.w.shape[0], -1) @ cols.reshape(c * k * k, -1)
+        cols = cols.reshape(c * k * k, b * oh * ow)
+        y = layer.w.reshape(layer.w.shape[0], -1) @ cols
         y = np.ascontiguousarray(y.reshape(-1, b, oh, ow).transpose(1, 0, 2, 3))
         y += layer.b[None, :, None, None]
-        return y
+        return y, (cols, x.shape)
+    if isinstance(layer, BatchNorm):
+        axes, shape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
+        b, c = x.shape[:2]
+        mu = x.mean(axis=axes)
+        xhat = x - mu.reshape(shape)
+        centred = xhat.reshape(b, c, -1)
+        var = np.einsum("bcs,bcs->c", centred, centred) / (x.size // c)
+        layer.batches_seen += 1
+        m = max(layer.momentum, 1.0 / layer.batches_seen)
+        layer.running_mean[...] = (1 - m) * layer.running_mean + m * mu
+        layer.running_var[...] = (1 - m) * layer.running_var + m * var
+        inv = 1.0 / np.sqrt(var + layer.eps)
+        xhat *= inv.reshape(shape)
+        y = xhat * layer.gamma.reshape(shape)
+        y += layer.beta.reshape(shape)
+        return y, (xhat, inv, axes, shape)
+    if isinstance(layer, ReLU):
+        mask = x > 0
+        return x * mask, mask
+    if isinstance(layer, MaxPool2x2):
+        y = np.maximum(
+            np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+            np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
+        )
+        return y, (x, y)
+    if isinstance(layer, Flatten):
+        return x.reshape(x.shape[0], -1), x.shape
+    return x @ layer.w.T + layer.b, x
+
+
+def reference_train_backward(layer, dy, cache):
+    """The row-major backward each layer ran before train_backward."""
+    if isinstance(layer, Conv2d):
+        cols, (b, c, h, w) = cache
+        k = layer.kernel
+        _, f, oh, ow = dy.shape
+        dyt = dy.transpose(1, 0, 2, 3).reshape(f, -1)
+        dw = (dyt @ cols.T).reshape(layer.w.shape)
+        db = dy.sum(axis=(0, 2, 3))
+        dcols = (layer.w.reshape(f, -1).T @ dyt).reshape(c, k, k, b, oh, ow)
+        dxt = np.zeros((c, b, h, w), dtype=dcols.dtype)
+        for i in range(k):
+            for j in range(k):
+                dxt[:, :, i : i + oh, j : j + ow] += dcols[:, i, j]
+        dx = np.ascontiguousarray(dxt.transpose(1, 0, 2, 3))
+        return dx, {"w": dw.astype(layer.w.dtype), "b": db.astype(layer.b.dtype)}
+    if isinstance(layer, BatchNorm):
+        xhat, inv, axes, shape = cache
+        b, c = dy.shape[:2]
+        n = dy.size // c
+        dgamma = np.einsum("bcs,bcs->c", dy.reshape(b, c, -1), xhat.reshape(b, c, -1))
+        dbeta = dy.sum(axis=axes)
+        dx = xhat * (-dgamma / n).reshape(shape)
+        dx += dy
+        dx -= (dbeta / n).reshape(shape)
+        dx *= (layer.gamma * inv).reshape(shape)
+        return dx.astype(dy.dtype, copy=False), {
+            "gamma": dgamma.astype(layer.gamma.dtype),
+            "beta": dbeta.astype(layer.beta.dtype),
+        }
+    if isinstance(layer, ReLU):
+        return dy * cache, {}
+    if isinstance(layer, MaxPool2x2):
+        x, y = cache
+        dx = np.empty(x.shape, dtype=dy.dtype)
+        free = np.ones(y.shape, dtype=bool)
+        hit = np.empty(y.shape, dtype=bool)
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            np.equal(x[:, :, i::2, j::2], y, out=hit)
+            hit &= free
+            np.multiply(dy, hit, out=dx[:, :, i::2, j::2])
+            free &= ~hit
+        return dx, {}
+    if isinstance(layer, Flatten):
+        return dy.reshape(cache), {}
+    x = cache
+    dw = dy.T @ x
+    db = dy.sum(axis=0)
+    return dy @ layer.w, {"w": dw.astype(layer.w.dtype), "b": db.astype(layer.b.dtype)}
+
+
+def reference_eval(layer, x):
+    """The row-major eval forward each layer ran before infer (the oracle)."""
     if isinstance(layer, BatchNorm):
         shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
         s = layer.gamma / np.sqrt(layer.running_var + layer.eps)
@@ -409,14 +501,7 @@ def reference_eval(layer, x):
         return y
     if isinstance(layer, ReLU):
         return np.maximum(x, 0)
-    if isinstance(layer, MaxPool2x2):
-        return np.maximum(
-            np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-            np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
-        )
-    if isinstance(layer, Flatten):
-        return x.reshape(x.shape[0], -1)
-    return x @ layer.w.T + layer.b
+    return reference_train_forward(layer, x)[0]
 
 
 def same_bits(a, b):
@@ -501,3 +586,100 @@ def test_eval_forward_leaves_input_unchanged(trained_nets, batch):
     ReLU().forward(negative, False)
     BatchNorm("bn", 4).forward(negative, False)
     assert np.all(negative == -1.0)
+
+
+def reference_step(net, x, labels):
+    """Logits, loss and gradients of one row-major training step."""
+    caches = []
+    for layer in net.layers:
+        x, cache = reference_train_forward(layer, x)
+        caches.append(cache)
+    loss, dy = cross_entropy(x, labels)
+    grads = {}
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+        dy, layer_grads = reference_train_backward(layer, dy, cache)
+        grads.update({f"{layer.name}.{key}": g for key, g in layer_grads.items()})
+    return x, loss, grads
+
+
+BN_FED = BN_FED_BIASES + ("conv2.b",)  # table1's conv2 also feeds BatchNorm
+
+
+@pytest.mark.parametrize("build, batch", [
+    (table1_network, 1), (table1_network, 3), (table1_network, 8), (reduced_network, 4),
+])
+def test_training_step_matches_row_major(build, batch):
+    net, ref = build(RngState(44), dtype=np.float64), build(RngState(44), dtype=np.float64)
+    gen = np.random.default_rng([45, batch])
+    classes = net.layers[-1].w.shape[0]
+    for _ in range(2):  # the second step folds into warm running statistics
+        x = gen.uniform(0.0, 1.0, size=(batch,) + net.input_shape)
+        labels = gen.integers(0, classes, size=batch)
+        logits, caches = net.forward(x, training=True)
+        loss, dlogits = cross_entropy(logits, labels)
+        grads = net.backward(caches, dlogits)
+        want_logits, want_loss, want_grads = reference_step(ref, x, labels)
+        np.testing.assert_allclose(logits, want_logits, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_logits).max())
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            got = grads[name]
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            if name in BN_FED:
+                assert max(np.abs(got).max(), np.abs(want).max()) <= 1e-9, name
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(),
+                                           err_msg=name)
+        for layer, ref_layer in zip(net.layers, ref.layers):
+            if isinstance(layer, BatchNorm):
+                assert layer.batches_seen == ref_layer.batches_seen
+                for stat in ("running_mean", "running_var"):
+                    np.testing.assert_allclose(getattr(layer, stat), getattr(ref_layer, stat),
+                                               rtol=1e-12, atol=1e-12, err_msg=layer.name)
+
+
+@pytest.mark.parametrize("in_ch, out_ch, size", [(1, 10, 28), (10, 20, 12)])
+def test_conv2d_training_bits_as_row_major(in_ch, out_ch, size):
+    # the table1 conv shapes at batch 256: same output and dX bits; dW and db
+    # reduce over B*OH*OW in another order
+    gen = np.random.default_rng(46)
+    layer = Conv2d("c", in_ch, out_ch, 5, RngState(47).split("c"))
+    layer.b[...] = gen.normal(size=out_ch)
+    x = gen.uniform(0.0, 1.0, size=(256, in_ch, size, size)).astype(np.float32)
+    y, cache = layer.forward(x, training=True)
+    want_y, want_cache = reference_train_forward(layer, x)
+    assert same_bits(y, want_y)
+    dy = gen.normal(size=y.shape).astype(np.float32)
+    dx, grads = layer.backward(dy, cache)
+    want_dx, want_grads = reference_train_backward(layer, dy, want_cache)
+    assert same_bits(dx, want_dx)
+    for key, want in want_grads.items():
+        np.testing.assert_allclose(grads[key], want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_training_leaves_inputs_unchanged(batch):
+    # the copy into the batch-innermost layout must happen even when B = 1
+    # makes np.moveaxis contiguous, so no output or cache aliases an input
+    net = table1_network(RngState(48))
+    x = eval_inputs(net, batch, 1) - 0.5
+    saved = x.copy()
+    logits, caches = net.forward(x, training=True)
+    dlogits = np.random.default_rng(49).normal(size=logits.shape).astype(np.float32)
+    saved_dlogits = dlogits.copy()
+    net.backward(caches, dlogits)
+    assert same_bits(x, saved) and same_bits(dlogits, saved_dlogits)
+    for layer in net.layers:
+        layer_in = x.copy()
+        y, cache = layer.forward(x, True)
+        assert same_bits(x, layer_in), layer.name
+        assert not np.shares_memory(x, y), layer.name
+        held = cache if isinstance(cache, tuple) else (cache,)
+        assert not any(np.shares_memory(x, a) for a in held if isinstance(a, np.ndarray)), layer.name
+        dy = np.random.default_rng(50).normal(size=y.shape).astype(np.float32)
+        dy_in = dy.copy()
+        dx, _ = layer.backward(dy, cache)
+        assert same_bits(dy, dy_in), layer.name
+        assert not np.shares_memory(dy, dx), layer.name
+        x = y

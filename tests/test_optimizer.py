@@ -9,6 +9,8 @@ decode of a half-sum stream has sigma <= 2/sqrt(n_bit), so means over
 hundreds of repetitions sit well inside the 0.05 bands used here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -79,6 +81,21 @@ def test_config_validation():
         cfg(exec_mode="quantum")
     with pytest.raises(ValueError):
         cfg(clip_lo=1.0, clip_hi=-1.0)
+
+
+def test_config_is_frozen():
+    # assignment would bypass __post_init__'s checks; replace re-runs them
+    c = cfg()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.eta = 7.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.n_bit = 0
+    assert c == cfg()
+    with pytest.raises(ValueError, match="eta"):
+        dataclasses.replace(c, eta=7.0)
+    with pytest.raises(ValueError, match="n_bit"):
+        dataclasses.replace(c, n_bit=0)
+    assert dataclasses.replace(c, exec_mode="float").exec_mode == "float"
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,19 @@ def test_train_protocol_accepts_good_settings():
         TrainProtocol(**good)
 
 
+def test_train_protocol_is_frozen():
+    # assignment would bypass __post_init__'s checks; replace re-runs them
+    protocol = TrainProtocol()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        protocol.batch_size = 0
+    assert protocol == TrainProtocol()
+    with pytest.raises(ValueError, match="batch_size"):
+        dataclasses.replace(protocol, batch_size=0)
+    with pytest.raises(ValueError, match="eval_every"):
+        dataclasses.replace(protocol, eval_every=-1)
+    assert dataclasses.replace(protocol, epochs=2).epochs == 2
+
+
 def test_eval_cadence_multi_epoch(blobs):
     train_set, test_set = blobs
     net = table1_network(RngState(7))
