@@ -49,7 +49,7 @@ __all__ = [
 DEFAULT_KAPPA = 0.108
 
 
-@dataclass
+@dataclass(frozen=True)
 class TileConfig:
     """Geometry and electrical constants of the 40 nm RRAM macro."""
 

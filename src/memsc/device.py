@@ -38,7 +38,7 @@ DEFAULT_TAU = 0.38e-3
 DEFAULT_TAU0 = DEFAULT_TAU * math.exp(DEFAULT_V_PROG / DEFAULT_V0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceParams:
     """CBRAM fitting parameters and the switching-time statistics.
 

@@ -1,20 +1,14 @@
 """Minimal tensor layers with exact analytic backprop.
 
 Activations live in one layout, batch-innermost: (C, H, W, B) or (F, B),
-the layout of Krizhevsky's cuda-convnet. Each layer has three kernels on
-it: train_forward(a) -> (y, cache), train_backward(da, cache, need_dx) ->
-(dx, grads) and infer(a), which keeps no cache. Trainable layers publish
-their parameter arrays through params(). A Network copies its (B, C, H, W)
-input into the layout once and runs one kernel per layer.
-
-The row-major forward(x, training) -> (y, cache) and backward(dy, cache,
-need_dx) -> (dx, grads) on (B, C, H, W) or (B, F) arrays are one shared
-adaptor, Layer: transpose in, run the kernel, transpose out. The transpose
-in always copies, so a layer never writes to or returns its caller's
-array. infer may overwrite its input, so it is only handed arrays the
-pipeline owns; the training kernels write to no input, since caches may
-hold them. Convolutions are stride-1/no-padding and pooling is
-2x2/stride-2, which is all the adopted architecture needs.
+the layout of Krizhevsky's cuda-convnet. Every layer has two methods on
+it: forward(a, training=False) -> (y, cache) and backward(da, cache,
+need_dx=True) -> (dx, grads), which takes the cache of a training forward.
+An evaluation forward returns cache None and may overwrite its input, so
+it is only handed arrays the caller owns; a training forward writes to no
+input, since its cache may hold it. Trainable layers publish their
+parameter arrays through params(). Convolutions are stride-1/no-padding
+and pooling is 2x2/stride-2, which is all the adopted architecture needs.
 
 Convolution is im2col + GEMM (Chellapilla et al. 2006) on channel-major
 columns (C*k*k, OH*OW*B), whose row (c, i, j) is channel c shifted by
@@ -30,17 +24,7 @@ import numpy as np
 
 from ..rng import RngState
 
-__all__ = ["Layer", "Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
-
-
-def _to_batch_inner(x):
-    """(B, ...) -> a C-contiguous (..., B) copy; a copy even when B = 1."""
-    return np.moveaxis(x, 0, -1).copy()
-
-
-def _to_batch_outer(a):
-    """(..., B) -> C-contiguous (B, ...)."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+__all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
 
 
 def _uniform_init(shape, fan_in, rng: RngState, dtype):
@@ -51,27 +35,7 @@ def _uniform_init(shape, fan_in, rng: RngState, dtype):
     return np.clip(w, -1.0, 1.0).astype(dtype)
 
 
-class Layer:
-    """Row-major forward/backward over a layer's batch-innermost kernels.
-
-    Subclasses define infer, train_forward and train_backward; caches are
-    in the batch-innermost layout, so a cache from forward(x, True) goes to
-    backward, and one from Network.forward to Network.backward.
-    """
-
-    def forward(self, x, training=False):
-        a = _to_batch_inner(x)
-        if not training:
-            return _to_batch_outer(self.infer(a)), None
-        y, cache = self.train_forward(a)
-        return _to_batch_outer(y), cache
-
-    def backward(self, dy, cache, need_dx=True):
-        dx, grads = self.train_backward(_to_batch_inner(dy), cache, need_dx)
-        return (None if dx is None else _to_batch_outer(dx)), grads
-
-
-class Conv2d(Layer):
+class Conv2d:
     """Stride-1 valid convolution (cross-correlation) with bias."""
 
     def __init__(self, name, in_ch, out_ch, kernel, rng: RngState, dtype=np.float32):
@@ -83,10 +47,7 @@ class Conv2d(Layer):
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def infer(self, a):
-        return self.train_forward(a)[0]
-
-    def train_forward(self, a):
+    def forward(self, a, training=False):
         c, h, w, b = a.shape
         k = self.kernel
         oh, ow = h - k + 1, w - k + 1
@@ -98,9 +59,9 @@ class Conv2d(Layer):
         cols = cols.reshape(c * k * k, -1)
         y = self.w.reshape(self.w.shape[0], -1) @ cols
         y += self.b[:, None]
-        return y.reshape(-1, oh, ow, b), (cols, a.shape)
+        return y.reshape(-1, oh, ow, b), ((cols, a.shape) if training else None)
 
-    def train_backward(self, da, cache, need_dx=True):
+    def backward(self, da, cache, need_dx=True):
         cols, (c, h, w, b) = cache
         k = self.kernel
         f, oh, ow, _ = da.shape
@@ -118,7 +79,7 @@ class Conv2d(Layer):
         return dx, {"w": dw.astype(self.w.dtype), "b": db.astype(self.b.dtype)}
 
 
-class BatchNorm(Layer):
+class BatchNorm:
     """Batch normalization per channel over the batch and any spatial axes.
 
     Training mode normalizes with batch statistics and folds them into the
@@ -151,17 +112,16 @@ class BatchNorm(Layer):
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
 
-    def infer(self, a):
-        s = self.gamma / np.sqrt(self.running_var + self.eps)
-        t = self.beta - self.running_mean * s
-        shape = (-1,) + (1,) * (a.ndim - 1)
-        # in place unless a's dtype is narrower than the statistics'
-        y = np.multiply(a, s.reshape(shape), out=a if np.result_type(a, s) == a.dtype else None)
-        y += t.reshape(shape)
-        return y
-
-    def train_forward(self, a):
+    def forward(self, a, training=False):
         c = a.shape[0]
+        if not training:
+            s = self.gamma / np.sqrt(self.running_var + self.eps)
+            t = self.beta - self.running_mean * s
+            shape = (-1,) + (1,) * (a.ndim - 1)
+            # in place unless a's dtype is narrower than the statistics'
+            y = np.multiply(a, s.reshape(shape), out=a if np.result_type(a, s) == a.dtype else None)
+            y += t.reshape(shape)
+            return y, None
         flat = a.reshape(c, -1)
         mu = flat.mean(axis=1)
         xhat = flat - mu[:, None]
@@ -174,15 +134,14 @@ class BatchNorm(Layer):
         xhat *= inv[:, None]
         y = xhat * self.gamma[:, None]
         y += self.beta[:, None]
-        # the cached xhat is (C, N); its reduction axes are (1,)
-        return y.reshape(a.shape), (xhat, inv, (1,), a.shape)
+        return y.reshape(a.shape), (xhat, inv, a.shape)  # xhat is (C, N)
 
-    def train_backward(self, da, cache, need_dx=True):
-        xhat, inv, axes, shape = cache
+    def backward(self, da, cache, need_dx=True):
+        xhat, inv, shape = cache
         dy = da.reshape(xhat.shape)
         n = xhat.shape[1]
         dgamma = np.einsum("cn,cn->c", dy, xhat)
-        dbeta = dy.sum(axis=axes)
+        dbeta = dy.sum(axis=1)
         dx = xhat * (-dgamma / n)[:, None]
         dx += dy
         dx -= (dbeta / n)[:, None]
@@ -193,36 +152,21 @@ class BatchNorm(Layer):
         }
 
 
-class ReLU(Layer):
+class ReLU:
     def __init__(self, name="relu"):
         self.name = name
 
-    def infer(self, a):
-        return np.maximum(a, 0, out=a)
-
-    def train_forward(self, a):
+    def forward(self, a, training=False):
+        if not training:
+            return np.maximum(a, 0, out=a), None
         mask = a > 0
         return a * mask, mask
 
-    def train_backward(self, da, cache, need_dx=True):
+    def backward(self, da, cache, need_dx=True):
         return da * cache, {}
 
 
-def _quadrant_max(x, axis):
-    """Elementwise maximum of the four stride-2 quadrants of axes (axis, axis+1)."""
-    h, w = x.shape[axis : axis + 2]
-    if h % 2 or w % 2:
-        raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-    lead = (slice(None),) * axis
-
-    def quadrant(i, j):
-        return x[lead + (slice(i, None, 2), slice(j, None, 2))]
-
-    return np.maximum(np.maximum(quadrant(0, 0), quadrant(0, 1)),
-                      np.maximum(quadrant(1, 0), quadrant(1, 1)))
-
-
-class MaxPool2x2(Layer):
+class MaxPool2x2:
     """2x2 max pooling with stride 2 (even spatial dims required).
 
     The output is the elementwise maximum of the four stride-2 quadrants.
@@ -234,14 +178,15 @@ class MaxPool2x2(Layer):
     def __init__(self, name="pool"):
         self.name = name
 
-    def infer(self, a):
-        return _quadrant_max(a, 1)
+    def forward(self, a, training=False):
+        h, w = a.shape[1:3]
+        if h % 2 or w % 2:
+            raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
+        y = np.maximum(np.maximum(a[:, 0::2, 0::2], a[:, 0::2, 1::2]),
+                       np.maximum(a[:, 1::2, 0::2], a[:, 1::2, 1::2]))
+        return y, ((a, y) if training else None)
 
-    def train_forward(self, a):
-        y = _quadrant_max(a, 1)
-        return y, (a, y)
-
-    def train_backward(self, da, cache, need_dx=True):
+    def backward(self, da, cache, need_dx=True):
         a, y = cache
         dx = np.empty(a.shape, dtype=da.dtype)
         free = np.ones(y.shape, dtype=bool)  # windows whose maximum is unclaimed
@@ -254,21 +199,19 @@ class MaxPool2x2(Layer):
         return dx, {}
 
 
-class Flatten(Layer):
+class Flatten:
     def __init__(self, name="flatten"):
         self.name = name
 
-    def infer(self, a):
-        return self.train_forward(a)[0]
+    def forward(self, a, training=False):
+        # rows in (c, h, w) order
+        return a.reshape(-1, a.shape[-1]), (a.shape if training else None)
 
-    def train_forward(self, a):
-        return a.reshape(-1, a.shape[-1]), a.shape  # rows in (c, h, w) order
-
-    def train_backward(self, da, cache, need_dx=True):
+    def backward(self, da, cache, need_dx=True):
         return da.reshape(cache), {}
 
 
-class Linear(Layer):
+class Linear:
     def __init__(self, name, in_features, out_features, rng: RngState, dtype=np.float32):
         self.name = name
         self.w = _uniform_init((out_features, in_features), in_features, rng, dtype)
@@ -277,16 +220,13 @@ class Linear(Layer):
     def params(self):
         return {"w": self.w, "b": self.b}
 
-    def infer(self, a):
-        return self.train_forward(a)[0]
-
-    def train_forward(self, a):
+    def forward(self, a, training=False):
         # x @ w.T on the (B, in) copy, not w @ a: the GEMM with swapped
         # operands rounds differently
         x = np.ascontiguousarray(a.T)
-        return (x @ self.w.T + self.b).T, x
+        return (x @ self.w.T + self.b).T, (x if training else None)
 
-    def train_backward(self, da, cache, need_dx=True):
+    def backward(self, da, cache, need_dx=True):
         x = cache
         dw = da @ x
         db = da.sum(axis=1)

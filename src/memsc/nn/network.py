@@ -4,6 +4,10 @@ The full network takes 28x28 grayscale inputs through
 Conv(10,5x5) -> BN -> ReLU -> Pool -> Conv(20,5x5) -> BN -> ReLU -> Pool
 -> FC(50) -> BN -> ReLU -> FC(10), with intermediate shapes
 (10,24,24), (10,12,12), (20,8,8), (20,4,4), (50), (10).
+
+A Network is the one place that converts layouts: it takes (B, C, H, W)
+batches and (B, classes) logit gradients, and hands its layers the
+batch-innermost (C, H, W, B) or (F, B) arrays they work on.
 """
 
 from __future__ import annotations
@@ -12,9 +16,18 @@ import numpy as np
 
 from ..rng import RngState
 from .layers import BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU
-from .layers import _to_batch_inner, _to_batch_outer
 
 __all__ = ["Network", "table1_network", "reduced_network"]
+
+
+def _to_batch_inner(x):
+    """(B, ...) -> a C-contiguous (..., B) copy; a copy even when B = 1."""
+    return np.moveaxis(x, 0, -1).copy()
+
+
+def _to_batch_outer(a):
+    """(..., B) -> C-contiguous (B, ...)."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 class Network:
@@ -28,23 +41,19 @@ class Network:
         """Run the stack on a (B, C, H, W) batch, B >= 1; returns (logits, caches).
 
         x is copied once into the batch-innermost (C, H, W, B) layout and
-        never written to. Training runs each layer's train_forward and
-        keeps its cache for backward; evaluation runs each layer's infer and
-        every cache is None. The (classes, B) logits are transposed back to
-        (B, classes).
+        never written to; each layer's forward then runs on the array the
+        previous one returned. Training keeps every layer's cache for
+        backward; in evaluation every cache is None. The (classes, B) logits
+        are transposed back to (B, classes).
         """
         if x.ndim != 4 or x.shape[1:] != self.input_shape:
             raise ValueError(f"expected batch of shape (B, {self.input_shape}), got {x.shape}")
         if x.shape[0] == 0:
             raise ValueError("empty batch: B must be >= 1")
         a = _to_batch_inner(x)
-        if not training:
-            for layer in self.layers:
-                a = layer.infer(a)
-            return _to_batch_outer(a), [None] * len(self.layers)
         caches = []
         for layer in self.layers:
-            a, cache = layer.train_forward(a)
+            a, cache = layer.forward(a, training)
             caches.append(cache)
         return _to_batch_outer(a), caches
 
@@ -53,7 +62,7 @@ class Network:
 
         caches come from forward(x, training=True). dlogits (B, classes) is
         copied once into the (classes, B) layout and never written to; each
-        layer's train_backward then runs in reverse order.
+        layer's backward then runs in reverse order.
         """
         if len(caches) != len(self.layers):
             raise ValueError("cache does not match this network's layer stack")
@@ -61,7 +70,7 @@ class Network:
         da = _to_batch_inner(dlogits)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            da, layer_grads = layer.train_backward(da, caches[i], need_dx=(i > 0))
+            da, layer_grads = layer.backward(da, caches[i], need_dx=(i > 0))
             for key, g in layer_grads.items():
                 grads[f"{layer.name}.{key}"] = g
         return grads

@@ -11,7 +11,7 @@ update order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +66,11 @@ class MetricsRecord:
     wall_time_s: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsLog:
-    records: list = field(default_factory=list)
+    """The records of one run, one per minibatch step, in step order."""
 
-    def append(self, record: MetricsRecord):
-        self.records.append(record)
+    records: tuple[MetricsRecord, ...] = ()
 
     def final_accuracy(self) -> float:
         acc = [r.test_accuracy for r in self.records if r.test_accuracy is not None]
@@ -129,7 +128,7 @@ def train(
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     root = RngState(protocol.seed)
-    log = MetricsLog()
+    records = []
     velocities: dict[str, np.ndarray] = {}
     eval_every = protocol.resolved_eval_every()
     start = time.perf_counter()
@@ -162,7 +161,7 @@ def train(
 
             last_of_epoch = minibatch == len(batches)
             want_eval = (eval_every > 0 and minibatch % eval_every == 0) or last_of_epoch
-            log.append(
+            records.append(
                 MetricsRecord(
                     run_id=protocol.run_id,
                     epoch=epoch,
@@ -173,4 +172,4 @@ def train(
                     wall_time_s=time.perf_counter() - start,
                 )
             )
-    return log
+    return MetricsLog(tuple(records))

@@ -123,6 +123,15 @@ def test_plan_and_reports_are_frozen():
     _, gen_stats = generate_stream(0.3, 256, DeviceParams(), TileConfig(), RngState(4))
     with pytest.raises(dataclasses.FrozenInstanceError):
         gen_stats.on_count = 0
+    # assignment would bypass __post_init__'s checks; replace re-runs them
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DeviceParams().cell_jitter = 0.6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TileConfig().cols = 64
+    with pytest.raises(ValueError, match="cell_jitter"):
+        dataclasses.replace(DeviceParams(), cell_jitter=-0.1)
+    with pytest.raises(ValueError, match="cols"):
+        dataclasses.replace(TileConfig(), cols=0)
 
 
 # ---------------------------------------------------------------------------

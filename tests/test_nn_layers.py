@@ -35,20 +35,36 @@ def rel_error(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def row_major_forward(layer, x, training=False):
+    """layer.forward on (B, ...) data: copied into (..., B), run, transposed back.
+
+    The copy means the layer never writes to or returns x, even in
+    evaluation, where a layer may overwrite the array it is handed.
+    """
+    y, cache = layer.forward(np.moveaxis(x, 0, -1).copy(), training)
+    return np.ascontiguousarray(np.moveaxis(y, -1, 0)), cache
+
+
+def row_major_backward(layer, dy, cache, need_dx=True):
+    """layer.backward on (B, ...) data, with a cache from row_major_forward."""
+    dx, grads = layer.backward(np.moveaxis(dy, 0, -1).copy(), cache, need_dx)
+    return (None if dx is None else np.ascontiguousarray(np.moveaxis(dx, -1, 0))), grads
+
+
 # ---------------------------------------------------------------------------
 # single-layer checks: scalar loss = <projection, layer(x)>
 # ---------------------------------------------------------------------------
 
 def projected_loss(layer, x, proj, training=True):
-    y, _ = layer.forward(x, training)
+    y, _ = row_major_forward(layer, x, training)
     return float((y * proj).sum())
 
 
 def check_layer(layer, x, param_arrays):
     gen = np.random.default_rng(3)
-    y, cache = layer.forward(x, training=True)
+    y, cache = row_major_forward(layer, x, training=True)
     proj = gen.normal(size=y.shape)
-    dx, grads = layer.backward(proj, cache, need_dx=True)
+    dx, grads = row_major_backward(layer, proj, cache, need_dx=True)
     num_dx = numeric_grad(lambda: projected_loss(layer, x, proj), x)
     assert rel_error(dx, num_dx) <= 1e-3
     for key, arr in param_arrays.items():
@@ -84,9 +100,9 @@ def check_conv_against_reference(x, out_ch, kernel, dtype, rtol):
     gen = np.random.default_rng(13)
     layer = Conv2d("c", x.shape[1], out_ch, kernel, RngState(14).split("c"), dtype=dtype)
     layer.b[...] = gen.normal(size=out_ch)
-    y, cache = layer.forward(x, training=True)
+    y, cache = row_major_forward(layer, x, training=True)
     dy = gen.normal(size=y.shape).astype(dtype)
-    dx, grads = layer.backward(dy, cache, need_dx=True)
+    dx, grads = row_major_backward(layer, dy, cache, need_dx=True)
     ref = conv_reference(x, layer.w, layer.b, dy)
     for got, want in zip((y, grads["w"], grads["b"], dx), ref):
         assert got.shape == want.shape
@@ -130,7 +146,7 @@ def test_relu_gradients():
 
 def test_maxpool_constant_plane():
     x = np.full((1, 1, 4, 4), 0.7)
-    y, _ = MaxPool2x2().forward(x)
+    y, _ = row_major_forward(MaxPool2x2(), x)
     assert np.allclose(y, 0.7)
     assert y.shape == (1, 1, 2, 2)
 
@@ -145,10 +161,10 @@ def test_maxpool_ties_route_to_first_maximum():
     x[1, 2, 2:4, 4:6] = [[0.3, 0.2], [0.7, 0.7]]  # (1,0) and (1,1)
     x[1, 0, 4:6, 6:8] = [[0.4, 0.1], [0.2, 0.4]]  # (0,0) and (1,1)
     pool = MaxPool2x2()
-    y, cache = pool.forward(x, training=True)
+    y, cache = row_major_forward(pool, x, training=True)
     dy = gen.integers(-9, 10, size=y.shape).astype(np.float64)
     dy[dy == 0] = 1.0  # a zero gradient would hide where it was routed
-    dx, _ = pool.backward(dy, cache)
+    dx, _ = row_major_backward(pool, dy, cache)
     expected = np.zeros_like(x)
     for b, c, r, s in np.ndindex(*y.shape):
         window = x[b, c, 2 * r : 2 * r + 2, 2 * s : 2 * s + 2]
@@ -161,7 +177,7 @@ def test_maxpool_ties_route_to_first_maximum():
 
 def test_pool_requires_even_dims():
     with pytest.raises(ValueError):
-        MaxPool2x2().forward(np.zeros((1, 1, 5, 5)))
+        row_major_forward(MaxPool2x2(), np.zeros((1, 1, 5, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +187,19 @@ def test_pool_requires_even_dims():
 def test_batchnorm_training_statistics():
     bn = BatchNorm("bn", 5, dtype=np.float64)
     x = np.random.default_rng(6).normal(2.0, 3.0, size=(16, 5, 7, 7))
-    _, (xhat, _, axes, _) = bn.forward(x, training=True)
-    assert np.all(np.abs(xhat.mean(axis=axes)) <= 1e-6)
-    assert np.all(np.abs(xhat.var(axis=axes) - 1.0) <= 1e-4)
+    _, (xhat, _, _) = row_major_forward(bn, x, training=True)  # xhat is (C, N)
+    assert np.all(np.abs(xhat.mean(axis=1)) <= 1e-6)
+    assert np.all(np.abs(xhat.var(axis=1) - 1.0) <= 1e-4)
 
 
 def test_batchnorm_running_statistics_converge():
     bn = BatchNorm("bn", 2, dtype=np.float64)
     gen = np.random.default_rng(7)
     for _ in range(200):
-        bn.forward(gen.normal(1.5, 2.0, size=(64, 2)), training=True)
+        row_major_forward(bn, gen.normal(1.5, 2.0, size=(64, 2)), training=True)
     assert np.allclose(bn.running_mean, 1.5, atol=0.2)
     assert np.allclose(bn.running_var, 4.0, atol=0.5)
-    y, _ = bn.forward(np.full((4, 2), 1.5), training=False)
+    y, _ = row_major_forward(bn, np.full((4, 2), 1.5), training=False)
     assert np.all(np.abs(y) < 0.2)  # centered input maps near beta = 0
 
 
@@ -195,7 +211,7 @@ def test_batchnorm_running_statistics_warm_start():
     gen = np.random.default_rng(12)
     batches = [gen.normal(-2.0 + t, 0.5 + t, size=(8, 3, 4, 4)) for t in range(10)]
     for t, x in enumerate(batches, start=1):
-        bn.forward(x, training=True)
+        row_major_forward(bn, x, training=True)
         means = [b.mean(axis=(0, 2, 3)) for b in batches[:t]]
         variances = [b.var(axis=(0, 2, 3)) for b in batches[:t]]
         assert np.allclose(bn.running_mean, np.mean(means, axis=0), rtol=1e-12, atol=1e-12)
@@ -208,9 +224,9 @@ def test_batchnorm_eval_is_running_statistics_affine():
     bn.gamma[...] = gen.uniform(0.5, 2.0, size=4)
     bn.beta[...] = gen.normal(size=4)
     for _ in range(3):
-        bn.forward(gen.normal(1.0, 2.0, size=(8, 4, 5, 5)), training=True)
+        row_major_forward(bn, gen.normal(1.0, 2.0, size=(8, 4, 5, 5)), training=True)
     x = gen.normal(1.0, 2.0, size=(6, 4, 5, 5))
-    y, cache = bn.forward(x, training=False)
+    y, cache = row_major_forward(bn, x, training=False)
     shape = (1, -1, 1, 1)
     want = bn.gamma.reshape(shape) * (x - bn.running_mean.reshape(shape)) \
         / np.sqrt(bn.running_var.reshape(shape) + bn.eps) + bn.beta.reshape(shape)
@@ -225,9 +241,9 @@ def test_batchnorm_input_gradient_sums_to_zero_per_channel(shape):
     gen = np.random.default_rng(19)
     bn = BatchNorm("bn", shape[1], dtype=np.float64)
     bn.gamma[...] = gen.uniform(0.5, 2.0, size=shape[1])
-    _, cache = bn.forward(gen.normal(0.5, 3.0, size=shape), training=True)
+    _, cache = row_major_forward(bn, gen.normal(0.5, 3.0, size=shape), training=True)
     dy = gen.normal(size=shape)
-    dx, _ = bn.backward(dy, cache)
+    dx, _ = row_major_backward(bn, dy, cache)
     axes = (0, 2, 3) if len(shape) == 4 else (0,)
     assert np.all(np.abs(dx.sum(axis=axes)) <= 1e-12 * np.linalg.norm(dy))
 
@@ -281,7 +297,7 @@ def test_table1_intermediate_shapes():
     net = table1_network(RngState(0), dtype=np.float32)
     x = np.zeros((2, 1, 28, 28), dtype=np.float32)
     for layer in net.layers:
-        x, _ = layer.forward(x, training=True)
+        x, _ = row_major_forward(layer, x, training=True)
         if layer.name in TABLE1_SHAPES:
             assert x.shape[1:] == TABLE1_SHAPES[layer.name], layer.name
     assert x.shape == (2, 10)
@@ -291,9 +307,9 @@ def test_conv_pool_size_arithmetic():
     # stride-1 5x5 conv: out = in - 4; 2x2/2 pool halves spatial dims
     net = table1_network(RngState(1))
     x = np.zeros((1, 1, 28, 28), dtype=np.float32)
-    y, _ = net.layers[0].forward(x)
+    y, _ = row_major_forward(net.layers[0], x)
     assert y.shape[-1] == 28 - 4
-    p, _ = net.layers[3].forward(y)
+    p, _ = row_major_forward(net.layers[3], y)
     assert p.shape[-1] == 12
 
 
@@ -394,7 +410,7 @@ def test_backward_cache_mismatch():
 # ---------------------------------------------------------------------------
 
 def reference_train_forward(layer, x):
-    """The row-major training forward each layer ran before train_forward."""
+    """The row-major training forward each layer ran before its batch-innermost one."""
     if isinstance(layer, Conv2d):
         b, c, h, w = x.shape
         k = layer.kernel
@@ -440,7 +456,7 @@ def reference_train_forward(layer, x):
 
 
 def reference_train_backward(layer, dy, cache):
-    """The row-major backward each layer ran before train_backward."""
+    """The row-major backward each layer ran before its batch-innermost one."""
     if isinstance(layer, Conv2d):
         cols, (b, c, h, w) = cache
         k = layer.kernel
@@ -491,7 +507,7 @@ def reference_train_backward(layer, dy, cache):
 
 
 def reference_eval(layer, x):
-    """The row-major eval forward each layer ran before infer (the oracle)."""
+    """The row-major eval forward each layer ran before its batch-innermost one (the oracle)."""
     if isinstance(layer, BatchNorm):
         shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
         s = layer.gamma / np.sqrt(layer.running_var + layer.eps)
@@ -548,7 +564,7 @@ def test_eval_forward_bit_identical_to_row_major(trained_nets, name, batch):
         y = x
         for layer in net.layers:
             y_ref = reference_eval(layer, y)
-            y, cache = layer.forward(y, False)
+            y, cache = row_major_forward(layer, y, False)
             assert cache is None and same_bits(y, y_ref), layer.name
             assert y.flags.c_contiguous, layer.name
 
@@ -557,19 +573,19 @@ def test_eval_forward_bit_identical_to_row_major(trained_nets, name, batch):
     (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32),
 ])
 def test_batchnorm_eval_dtype_as_row_major(x_dtype, bn_dtype):
-    # infer scales in place only when that keeps the row-major result dtype
+    # the eval forward scales in place only when that keeps the row-major result dtype
     bn = BatchNorm("bn", 3, dtype=bn_dtype)
     gen = np.random.default_rng(19)
-    bn.forward(gen.normal(1.0, 2.0, size=(8, 3, 4, 4)).astype(bn_dtype), training=True)
+    row_major_forward(bn, gen.normal(1.0, 2.0, size=(8, 3, 4, 4)).astype(bn_dtype), training=True)
     for shape in ((5, 3, 4, 4), (5, 3)):
         x = gen.normal(size=shape).astype(x_dtype)
-        y, _ = bn.forward(x, False)
+        y, _ = row_major_forward(bn, x, False)
         assert same_bits(y, reference_eval(bn, x))
 
 
 @pytest.mark.parametrize("batch", [1, 3])
 def test_eval_forward_leaves_input_unchanged(trained_nets, batch):
-    # infer works in place on the arrays it owns; the copy into the
+    # eval forwards work in place on the arrays they own; the copy into the
     # batch-innermost layout must happen even when B = 1 makes it a view
     net = trained_nets["table1-float"]
     x = eval_inputs(net, batch, 0) - 0.5
@@ -578,13 +594,13 @@ def test_eval_forward_leaves_input_unchanged(trained_nets, batch):
     assert same_bits(x, saved)
     for layer in net.layers:
         layer_in = x.copy()
-        y, _ = layer.forward(x, False)
+        y, _ = row_major_forward(layer, x, False)
         assert same_bits(x, layer_in), layer.name
         assert not np.shares_memory(x, y), layer.name
         x = y
     negative = -np.ones((batch, 4))
-    ReLU().forward(negative, False)
-    BatchNorm("bn", 4).forward(negative, False)
+    row_major_forward(ReLU(), negative, False)
+    row_major_forward(BatchNorm("bn", 4), negative, False)
     assert np.all(negative == -1.0)
 
 
@@ -647,11 +663,11 @@ def test_conv2d_training_bits_as_row_major(in_ch, out_ch, size):
     layer = Conv2d("c", in_ch, out_ch, 5, RngState(47).split("c"))
     layer.b[...] = gen.normal(size=out_ch)
     x = gen.uniform(0.0, 1.0, size=(256, in_ch, size, size)).astype(np.float32)
-    y, cache = layer.forward(x, training=True)
+    y, cache = row_major_forward(layer, x, training=True)
     want_y, want_cache = reference_train_forward(layer, x)
     assert same_bits(y, want_y)
     dy = gen.normal(size=y.shape).astype(np.float32)
-    dx, grads = layer.backward(dy, cache)
+    dx, grads = row_major_backward(layer, dy, cache)
     want_dx, want_grads = reference_train_backward(layer, dy, want_cache)
     assert same_bits(dx, want_dx)
     for key, want in want_grads.items():
@@ -672,14 +688,14 @@ def test_training_leaves_inputs_unchanged(batch):
     assert same_bits(x, saved) and same_bits(dlogits, saved_dlogits)
     for layer in net.layers:
         layer_in = x.copy()
-        y, cache = layer.forward(x, True)
+        y, cache = row_major_forward(layer, x, True)
         assert same_bits(x, layer_in), layer.name
         assert not np.shares_memory(x, y), layer.name
         held = cache if isinstance(cache, tuple) else (cache,)
         assert not any(np.shares_memory(x, a) for a in held if isinstance(a, np.ndarray)), layer.name
         dy = np.random.default_rng(50).normal(size=y.shape).astype(np.float32)
         dy_in = dy.copy()
-        dx, _ = layer.backward(dy, cache)
+        dx, _ = row_major_backward(layer, dy, cache)
         assert same_bits(dy, dy_in), layer.name
         assert not np.shares_memory(dy, dx), layer.name
         x = y

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -109,6 +110,11 @@ def test_metrics_record_is_frozen(blobs):
                 OptimizerConfig(exec_mode="float"), TrainProtocol(batch_size=128))
     with pytest.raises(dataclasses.FrozenInstanceError):
         log.records[0].e_grad_stat = None
+    # the log is a value too: train builds its tuple of records once
+    assert isinstance(log.records, tuple) and len(log) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.records = ()
+    assert not hasattr(log, "append")
 
 
 @pytest.mark.parametrize("bad", [
@@ -229,3 +235,41 @@ def test_evaluate_chunks_match_one_forward(blobs):
           TrainProtocol(epochs=1, batch_size=128, seed=12, eval_every=0))
     logits, _ = net.forward(images.images, training=False)
     assert evaluate(net, images) == np.mean(logits.argmax(axis=1) == images.labels)
+
+
+def spy_on_layers(net, calls):
+    """Wrap each layer's forward/backward on the instance, as the bench's tracer does.
+
+    Each call appends (layer name, method, training); backward has no
+    training flag, so it records None.
+    """
+    for layer in net.layers:
+        def forward(*args, _name=layer.name, _forward=layer.forward, **kwargs):
+            training = args[1] if len(args) > 1 else kwargs.get("training", False)
+            calls.append((_name, "forward", training))
+            return _forward(*args, **kwargs)
+
+        def backward(*args, _name=layer.name, _backward=layer.backward, **kwargs):
+            calls.append((_name, "backward", None))
+            return _backward(*args, **kwargs)
+
+        layer.forward, layer.backward = forward, backward
+
+
+def test_training_and_evaluation_run_through_layer_forward_backward(blobs):
+    # the per-layer counters of a traced run wrap exactly these methods
+    train_set, test_set = blobs
+    net = table1_network(RngState(13))
+    images = test_set.subset(EVAL_CHUNK + 1)  # two evaluation chunks
+    calls = []
+    spy_on_layers(net, calls)
+    train(net, train_set.subset(128), images, OptimizerConfig(exec_mode="float"),
+          TrainProtocol(batch_size=128, seed=13, eval_every=0))
+    # one training step, then one evaluation at the end of the epoch
+    step = {(layer.name, method, training): n for layer in net.layers
+            for method, training, n in (("forward", True, 1), ("backward", None, 1),
+                                        ("forward", False, 2))}
+    assert Counter(calls) == step
+    calls.clear()
+    evaluate(net, images)
+    assert Counter(calls) == {(layer.name, "forward", False): 2 for layer in net.layers}
