@@ -29,6 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._checks import is_int
 from .device import DeviceParams, pulse_width_for, switch_probability
 from .rng import RngState
 from .sc import BitStream, Priori
@@ -62,11 +63,13 @@ class TileConfig:
     sense_amp_total_area_mm2: float = 0.0267
 
     def __post_init__(self):
+        if not is_int(self.cols):
+            raise ValueError(f"cols must be an int, got {self.cols!r}")
         for name in (
             "cols", "tile_area_um2", "p_on_w", "p_off_w", "xnor_total_area_mm2",
             "adder_register_area_mm2", "sense_amp_total_area_mm2",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -128,10 +131,9 @@ def plan_array(n_bit: int, n_streams: int, tile: TileConfig | None = None) -> Ar
     ``tile.cols`` bits; the total is doubled for the reset ping-pong.
     """
     tile = tile if tile is not None else TileConfig()
-    if n_bit < 1:
-        raise ValueError("n_bit must be >= 1")
-    if n_streams < 1:
-        raise ValueError("n_streams must be >= 1")
+    for name, value in (("n_bit", n_bit), ("n_streams", n_streams)):
+        if not is_int(value) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     tiles_per_stream = math.ceil(n_bit / tile.cols)
     return ArrayPlan(n_bit=n_bit, n_streams=n_streams, tiles_per_stream=tiles_per_stream)
 
@@ -147,14 +149,17 @@ def generate_stream(
     """Simulate in-array generation of an n_bit stream at on-probability target_p.
 
     A fixed-voltage pulse of width pulse_width_for(target_p) is applied to
-    one active row in each of ceil(n_bit / cols) tiles; cells are read out
-    in two column-sharing phases. With ``device.cell_jitter = 0`` the bits
-    are i.i.d. Bernoulli(target_p): the tiling and phasing add structure,
-    not bias. With jitter, each call redraws every cell's time constant,
-    so the bits stay independent but their one-probability is the mean
-    over the jitter, pulled towards 0.5: at cell_jitter = 0.6 the mean
-    on-fraction of 20 streams of 16384 bits is 0.116 / 0.513 / 0.858 at
-    target_p = 0.1 / 0.5 / 0.9.
+    one active row in each tile of ``plan_array(n_bit, 1, tile)``; cells
+    are read out in its ``time_mux_steps`` column-sharing phases. Every
+    cell's probability comes from ``switch_probability``. With
+    ``device.cell_jitter = 0`` the bits are i.i.d. Bernoulli(target_p): the
+    tiling and phasing add structure, not bias. With jitter, each call
+    redraws every cell's time constant, and a cell whose constant is scaled
+    by s switches under the width t as a nominal cell does under t / s. The
+    bits stay independent but their one-probability is the mean over the
+    jitter, pulled towards 0.5: at cell_jitter = 0.6 the mean on-fraction
+    of 20 streams of 16384 bits is 0.116 / 0.513 / 0.858 at target_p =
+    0.1 / 0.5 / 0.9.
 
     The bits are fixed by the per-tile draw order. Tile t draws from its
     own substream ``rng.split("tile", t)``: first ``lognormal(cells)`` time
@@ -165,10 +170,9 @@ def generate_stream(
     ``rng.generators("tile", n_tiles)``, which gives the same bits as
     opening each ``split("tile", t).generator`` in turn.
     """
-    if n_bit < 1:
-        raise ValueError("n_bit must be >= 1")
+    plan = plan_array(n_bit, 1, tile)  # validates n_bit
+    n_tiles = plan.tiles_per_stream
     width = pulse_width_for(target_p, device.v_prog, device)  # validates target_p
-    n_tiles = math.ceil(n_bit / tile.cols)
     jitter = device.cell_jitter > 0
     tau_scale = np.empty(n_bit) if jitter else None
     u = np.empty(n_bit)
@@ -181,13 +185,14 @@ def generate_stream(
         even = (cells + 1) // 2
         u[lo : lo + cells : 2] = draws[:even]
         u[lo + 1 : lo + cells : 2] = draws[even:]
-    if jitter:
-        p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
-    else:
-        p_cell = switch_probability(width, device.v_prog, device)
+    # In place: one more live n_bit-sized temporary makes glibc trim the heap
+    # after each call, and the next call re-faults ~160 pages.
+    t_cell = np.divide(width, tau_scale, out=tau_scale) if jitter else width
+    p_cell = switch_probability(t_cell, device.v_prog, device)
     stream = BitStream.from_bools(u < p_cell, priori)
     stats = GenerationStats(
-        on_count=stream.popcount(), phases=2, tiles=n_tiles, pulse_width_s=width
+        on_count=stream.popcount(), phases=plan.time_mux_steps, tiles=n_tiles,
+        pulse_width_s=width,
     )
     return stream, stats
 
@@ -232,12 +237,12 @@ def power_report(
     tile = tile if tile is not None else TileConfig()
     if not 0.0 <= e_grad <= 1.0 or not 0.0 <= e_weight <= 1.0:
         raise ValueError("expected on-cell probabilities must lie in [0, 1]")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa!r}")
     raw_grad = _p_read_raw(plan.n_bit, e_grad, tile)
     raw_weight = _p_read_raw(plan.n_bit, e_weight, tile)
     p_grad, p_weight = kappa * raw_grad, kappa * raw_weight
-    total = 2.0 * (p_grad + p_weight)
+    total = plan.pingpong_factor * (p_grad + p_weight)
     return CostReport(
         **vars(area_report(plan, tile)),
         p_read_gradient_raw_w=raw_grad,
@@ -245,7 +250,7 @@ def power_report(
         p_read_gradient_w=p_grad,
         p_read_weight_w=p_weight,
         total_power_w=total,
-        static_power_cap_w=total / 2.0,
+        static_power_cap_w=total / plan.time_mux_steps,
         e_grad_stat=e_grad,
         e_weight_stat=e_weight,
         calibration_kappa=kappa,

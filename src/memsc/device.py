@@ -71,9 +71,9 @@ class DeviceParams:
 
     def __post_init__(self):
         for name in ("v0", "tau0", "v_prog", "tau"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.cell_jitter < 0:
+        if not self.cell_jitter >= 0:
             raise ValueError("cell_jitter must be >= 0")
 
     def tau_eff(self, v: float | None = None) -> float:
@@ -91,7 +91,7 @@ def switch_probability(t, v: float, params: DeviceParams):
     if np.any(t < 0):
         raise ValueError("pulse width must be >= 0")
     with np.errstate(over="ignore"):
-        p = -np.expm1(-t / params.tau_eff(v))
+        p = -np.expm1(t / -params.tau_eff(v))  # as -t / tau bit for bit, one pass fewer
     return float(p) if p.ndim == 0 else p
 
 
@@ -101,8 +101,8 @@ def pulse_width_for(p: float, v: float, params: DeviceParams) -> float:
     Exact inverse of :func:`switch_probability`; the round trip holds to
     ~1e-16 relative. p = 1 is unreachable in finite time.
     """
-    if p < 0:
-        raise ValueError(f"probability {p} is negative")
+    if not p >= 0:
+        raise ValueError(f"probability {p} is negative or not a number")
     if p >= 1:
         raise ValueError(f"probability {p} unreachable with a finite pulse")
     return -params.tau_eff(v) * math.log1p(-p)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import is_int
 from ..optimizer import OptimizerConfig, update_tensor
 from ..rng import RngState
 from .data import Dataset
@@ -22,10 +23,6 @@ from .loss import cross_entropy
 from .network import Network
 
 __all__ = ["TrainProtocol", "MetricsRecord", "MetricsLog", "train", "evaluate"]
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,9 @@ class TrainProtocol:
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
+            if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-        if self.eval_every is not None and (not _is_int(self.eval_every) or self.eval_every < 0):
+        if self.eval_every is not None and (not is_int(self.eval_every) or self.eval_every < 0):
             raise ValueError(f"eval_every must be None or an int >= 0, got {self.eval_every!r}")
 
     def resolved_eval_every(self) -> int:

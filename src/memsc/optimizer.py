@@ -8,10 +8,13 @@ doubled and clamped back to [-1, 1]. In expectation the update equals the
 exact rule theta - eta*g whenever no clamp binds.
 
 ``update_tensor`` is the one update kernel; called on 0-d arrays it is the
-scalar update. Its exec modes are
-  float     exact real arithmetic (the 32-bit baseline and oracle),
-  binomial  popcount of the final stream drawn from its analytic
-            Binomial(n_bit, p) law,
+scalar update. It writes each rule once on exact values (SGD theta - eta*g;
+momentum v' = gamma*v + eta*g, then theta - v'). Its exec modes are
+  float     the rule as written (the 32-bit baseline and oracle),
+  binomial  the float rule with each doubled MUX output drawn from
+            Binomial(n_bit, (2 + x)/4): a MUX whose doubled output is x
+            has a half-sum stream of that one-probability, so x becomes
+            clamp(4*k/n_bit - 2) for the popcount k,
   bitexact  ``sc_sgd_step`` / ``sc_momentum_step`` per element.
 The ``sc_*_step`` functions simulate the packed streams bit by bit; they
 are the datapath itself and the independent reference that the binomial
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_int
 from .rng import RngState
 from .sc import BitStream, Priori, decode, encode, negate, scaled_add, xnor_mul
 
@@ -60,9 +64,9 @@ class OptimizerConfig:
             raise ValueError("eta must lie in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.n_bit < 1:
-            raise ValueError("n_bit must be >= 1")
-        if self.clip_lo >= self.clip_hi:
+        if not is_int(self.n_bit) or self.n_bit < 1:
+            raise ValueError(f"n_bit must be an int >= 1, got {self.n_bit!r}")
+        if not self.clip_lo < self.clip_hi:
             raise ValueError("clip_lo must be below clip_hi")
 
 
@@ -132,17 +136,16 @@ def sc_momentum_step(
 # The update kernel.
 # ---------------------------------------------------------------------------
 
-def _p_bipolar(value):
-    return (np.asarray(value, dtype=float) + 1.0) / 2.0
+def _exact(x):
+    return x
 
 
-def _p_xnor(p_a, p_b):
-    return p_a * p_b + (1.0 - p_a) * (1.0 - p_b)
+def _binomial_mux(n_bit: int, gen: np.random.Generator):
+    def draw(x):
+        popcount = gen.binomial(n_bit, (2.0 + x) / 4.0)
+        return _clamp_unit(4.0 * (popcount / n_bit) - 2.0)
 
-
-def _draw_bipolar_value(p_stream, n_bit: int, gen: np.random.Generator):
-    popcount = gen.binomial(n_bit, p_stream)
-    return 2.0 * (popcount / n_bit) - 1.0
+    return draw
 
 
 def update_tensor(
@@ -178,33 +181,17 @@ def update_tensor(
     if not np.all(np.isfinite(params)) or (v is not None and not np.all(np.isfinite(v))):
         raise ValueError("parameters and velocity must be finite")
 
-    if cfg.exec_mode == "float":
-        if cfg.mode == "sgd":
-            new_params = params - cfg.eta * g_c
-            new_v = None
-        else:
-            new_v = cfg.gamma * v + cfg.eta * g_c
-            new_params = params - new_v
-        return new_params, new_v, e_grad_stat
-
-    if np.any(np.abs(params) > 1.0) or (v is not None and np.any(np.abs(v) > 1.0)):
+    if cfg.exec_mode != "float" and (
+        np.any(np.abs(params) > 1.0) or (v is not None and np.any(np.abs(v) > 1.0))
+    ):
         raise ValueError("stochastic updates require parameters in [-1, 1]")
 
-    if cfg.exec_mode == "binomial":
-        gen = rng.generator
+    if cfg.exec_mode != "bitexact":
+        mux = _binomial_mux(cfg.n_bit, rng.generator) if cfg.exec_mode == "binomial" else _exact
         if cfg.mode == "sgd":
-            p_prod = _p_xnor(_p_bipolar(g_c), _p_bipolar(-cfg.eta))
-            p_half = 0.5 * _p_bipolar(params) + 0.5 * p_prod
-            new_params = _clamp_unit(2.0 * _draw_bipolar_value(p_half, cfg.n_bit, gen))
-            new_v = None
-        else:
-            p_v_half = 0.5 * _p_xnor(_p_bipolar(cfg.gamma), _p_bipolar(v)) \
-                + 0.5 * _p_xnor(_p_bipolar(cfg.eta), _p_bipolar(g_c))
-            new_v = _clamp_unit(2.0 * _draw_bipolar_value(p_v_half, cfg.n_bit, gen))
-            # negate(encode(v_new)) has one-probability 1 - p(v_new)
-            p_theta_half = 0.5 * _p_bipolar(params) + 0.5 * (1.0 - _p_bipolar(new_v))
-            new_params = _clamp_unit(2.0 * _draw_bipolar_value(p_theta_half, cfg.n_bit, gen))
-        return new_params, new_v, e_grad_stat
+            return mux(params - cfg.eta * g_c), None, e_grad_stat
+        new_v = mux(cfg.gamma * v + cfg.eta * g_c)
+        return mux(params - new_v), new_v, e_grad_stat
 
     # bitexact: per-element streams with (index, role) substream labels
     flat_p = params.reshape(-1)

@@ -47,6 +47,16 @@ def test_plan_validation():
         plan_array(0, 2)
     with pytest.raises(ValueError):
         plan_array(128, 0)
+    with pytest.raises(ValueError, match="n_bit"):
+        plan_array(1.5, 2)
+    with pytest.raises(ValueError, match="n_streams"):
+        plan_array(128, 2.0)
+    with pytest.raises(ValueError, match="cols"):
+        TileConfig(cols=128.0)
+    for field in dataclasses.fields(TileConfig):
+        if field.name != "cols":
+            with pytest.raises(ValueError, match=field.name):
+                TileConfig(**{field.name: float("nan")})
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,6 +120,10 @@ def test_power_validation():
         power_report(plan, e_grad=1.2, e_weight=0.5)
     with pytest.raises(ValueError):
         power_report(plan, e_grad=0.5, e_weight=0.5, kappa=0.0)
+    with pytest.raises(ValueError, match="kappa"):
+        power_report(plan, e_grad=0.5, e_weight=0.5, kappa=float("nan"))
+    with pytest.raises(ValueError):
+        power_report(plan, e_grad=float("nan"), e_weight=0.5)
 
 
 def test_plan_and_reports_are_frozen():
@@ -159,6 +173,8 @@ def test_generate_stream_on_count_within_binomial_bound():
 def test_generate_stream_rejects_unreachable_probability():
     with pytest.raises(ValueError):
         generate_stream(1.0, 128, DeviceParams(), TileConfig(), RngState(1))
+    with pytest.raises(ValueError, match="nan"):
+        generate_stream(float("nan"), 128, DeviceParams(), TileConfig(), RngState(1))
 
 
 def test_generate_stream_matches_encode_distribution():

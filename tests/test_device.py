@@ -59,6 +59,8 @@ def test_pulse_width_trivials():
         pulse_width_for(1.0, 4.5, params)
     with pytest.raises(ValueError):
         pulse_width_for(-0.1, 4.5, params)
+    with pytest.raises(ValueError, match="nan"):
+        pulse_width_for(float("nan"), 4.5, params)
 
 
 def test_round_trip_identity():
@@ -151,3 +153,6 @@ def test_invalid_params_rejected():
         DeviceParams(v0=0.0)
     with pytest.raises(ValueError):
         DeviceParams(tau=-1.0)
+    for name in ("v0", "tau0", "v_prog", "tau", "cell_jitter"):
+        with pytest.raises(ValueError, match=name):
+            DeviceParams(**{name: float("nan")})

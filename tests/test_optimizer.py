@@ -81,6 +81,12 @@ def test_config_validation():
         cfg(exec_mode="quantum")
     with pytest.raises(ValueError):
         cfg(clip_lo=1.0, clip_hi=-1.0)
+    for bad_n_bit in (1.5, 16384.0, True):
+        with pytest.raises(ValueError, match="n_bit"):
+            cfg(n_bit=bad_n_bit)
+    for name in ("eta", "gamma", "clip_lo", "clip_hi"):
+        with pytest.raises(ValueError):
+            cfg(**{name: float("nan")})
 
 
 def test_config_is_frozen():
@@ -203,12 +209,26 @@ def test_sc_momentum_gamma_zero_matches_sgd_in_expectation():
 # ---------------------------------------------------------------------------
 
 def test_binomial_composition_probability_algebra():
-    # p_composed = 0.5*p_theta + 0.5*(p_g*p_ne + (1-p_g)(1-p_ne)); with a
-    # huge n_bit the draw concentrates on the composed mean
-    theta, g, eta = 0.5, 0.2, 0.1
-    c = cfg(eta=eta, n_bit=2**22)
-    out = step0d(theta, g, c, rng("alg"))
-    assert out == pytest.approx(theta - eta * g, abs=5e-3)
+    # A MUX whose doubled output is x has half-sum one-probability (2+x)/4.
+    # With a huge n_bit each draw concentrates on x clamped to [-1, 1], so
+    # the binomial update is the float rule clamped at each MUX output,
+    # including the grid points where a clamp binds or g is clipped.
+    theta, v, g = (a.ravel() for a in np.meshgrid(
+        [-1.0, -0.4, 0.0, 0.7, 1.0], [-1.0, -0.3, 0.0, 1.0],
+        [-2.5, -1.0, -0.2, 0.0, 0.6, 1.0, 3.0], indexing="ij",
+    ))
+    g_c = np.clip(g, -1.0, 1.0)
+    for eta in (0.1, 0.5, 1.0):
+        c = cfg(eta=eta, n_bit=2**40)
+        new, _, _ = update_tensor(theta, g, c, rng("alg", eta))
+        np.testing.assert_allclose(new, np.clip(theta - eta * g_c, -1, 1), rtol=0, atol=1e-5)
+
+        c = cfg(mode="momentum", eta=eta, gamma=0.9, n_bit=2**40)
+        new, new_v, _ = update_tensor(theta, g, c, rng("alg", "m", eta), velocity=v)
+        # theta's MUX sees the drawn v'; each draw is within 1e-5 (~5 sigma)
+        # of its own law, so theta' is within 2e-5 of clip(theta - clip(gamma v + eta g))
+        np.testing.assert_allclose(new_v, np.clip(0.9 * v + eta * g_c, -1, 1), rtol=0, atol=1e-5)
+        np.testing.assert_allclose(new, np.clip(theta - new_v, -1, 1), rtol=0, atol=1e-5)
 
 
 def test_binomial_degenerate_single_bit():

@@ -1,7 +1,10 @@
-"""Every console entry point and every ``__all__`` name must resolve."""
+"""Every console entry point and every ``__all__`` name must resolve, and the
+package imports nothing beyond the standard library and numpy."""
 
+import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,21 @@ def test_module_exports_resolve():
     assert exported
     missing = [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)]
     assert not missing, missing
+
+
+def test_runtime_imports_are_stdlib_numpy_or_memsc():
+    # numpy is the only runtime dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy", "memsc"}
+    package = Path(memsc.__file__).parent
+    foreign = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.relative_to(package)}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert not foreign, foreign
