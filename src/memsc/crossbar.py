@@ -189,7 +189,7 @@ def generate_stream(
     # after each call, and the next call re-faults ~160 pages.
     t_cell = np.divide(width, tau_scale, out=tau_scale) if jitter else width
     p_cell = switch_probability(t_cell, device.v_prog, device)
-    stream = BitStream.from_bools(u < p_cell, priori)
+    stream = BitStream(u < p_cell, priori)
     stats = GenerationStats(
         on_count=stream.popcount(), phases=plan.time_mux_steps, tiles=n_tiles,
         pulse_width_s=width,

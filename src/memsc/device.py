@@ -6,10 +6,11 @@ A device under a programming pulse of width t at voltage V turns on with
 
 where V0 and tau0 are fitting parameters. Inverting the expression gives
 the pulse width that realizes a target switching probability, which is how
-bit streams are programmed in-memory. The time-to-switch of a fabricated
-device at the 4.5 V programming voltage follows an exponential law with
-mean tau = 0.38 ms, reported as the histogram density
-P(t) = (delta_t / tau) * exp(-t / tau) with bin constant delta_t = 0.5.
+bit streams are programmed in-memory. The time-to-switch follows the
+exponential law of the same time constant, tau = tau0 * exp(-V / V0),
+reported for a fabricated device at 4.5 V (tau = 0.38 ms) as the
+histogram density P(t) = (delta_t / tau) * exp(-t / tau) with bin
+constant delta_t = 0.5.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class DeviceParams:
     delta_t : float
         Histogram bin constant of the reported density fit; affects the
         density normalization only, never sampling.
-    tau : float
-        Mean switching time of the exponential fit (seconds).
     cell_jitter : float
         Optional per-cell multiplicative lognormal jitter on tau_eff
         (sigma of log); 0 disables it. ``generate_stream`` redraws the
@@ -66,11 +65,10 @@ class DeviceParams:
     tau0: float = DEFAULT_TAU0
     v_prog: float = DEFAULT_V_PROG
     delta_t: float = 0.5
-    tau: float = DEFAULT_TAU
     cell_jitter: float = 0.0
 
     def __post_init__(self):
-        for name in ("v0", "tau0", "v_prog", "tau"):
+        for name in ("v0", "tau0", "v_prog"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.cell_jitter >= 0:
@@ -115,15 +113,16 @@ def sample_switch(t: float, v: float, params: DeviceParams, rng: RngState) -> in
 
 
 def switching_time_density(t, params: DeviceParams):
-    """Reported switching-time histogram density (delta_t/tau) e^(-t/tau)."""
+    """Reported switching-time histogram density (delta_t/tau) e^(-t/tau), tau = tau_eff()."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be >= 0")
-    d = (params.delta_t / params.tau) * np.exp(-t / params.tau)
+    tau = params.tau_eff()
+    d = (params.delta_t / tau) * np.exp(-t / tau)
     return float(d) if d.ndim == 0 else d
 
 
 def sample_switching_time(params: DeviceParams, rng: RngState, size: int | None = None):
-    """Draw switching times from the exponential law by inverse transform."""
+    """Draw switching times from the exponential law of mean tau_eff() by inverse transform."""
     u = rng.generator.random(size)
-    return -params.tau * np.log1p(-u)
+    return -params.tau_eff() * np.log1p(-u)

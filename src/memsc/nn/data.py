@@ -21,7 +21,7 @@ LABEL_MAGIC = 0x00000801
 _TEMPLATE_SEED = 0x5EED
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     images: np.ndarray  # (N, 1, H, W) float32 in [0, 1]
     labels: np.ndarray  # (N,) int64 in [0, 9]

@@ -16,7 +16,7 @@ momentum v' = gamma*v + eta*g, then theta - v'). Its exec modes are
             has a half-sum stream of that one-probability, so x becomes
             clamp(4*k/n_bit - 2) for the popcount k,
   bitexact  ``sc_sgd_step`` / ``sc_momentum_step`` per element.
-The ``sc_*_step`` functions simulate the packed streams bit by bit; they
+The ``sc_*_step`` functions simulate the streams bit by bit; they
 are the datapath itself and the independent reference that the binomial
 law is tested against.
 """
@@ -66,8 +66,8 @@ class OptimizerConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if not is_int(self.n_bit) or self.n_bit < 1:
             raise ValueError(f"n_bit must be an int >= 1, got {self.n_bit!r}")
-        if not self.clip_lo < self.clip_hi:
-            raise ValueError("clip_lo must be below clip_hi")
+        if not -1.0 <= self.clip_lo < self.clip_hi <= 1.0:
+            raise ValueError("clip bounds must satisfy -1 <= clip_lo < clip_hi <= 1")
 
 
 def clip_gradient(g, cfg: OptimizerConfig):

@@ -1,10 +1,10 @@
 """Stochastic number representation and combinational bit-stream arithmetic.
 
-Numbers are carried as packed random bit streams. The fraction of ones,
-x = popcount/length, encodes the value: unipolar streams represent x in
-[0, 1], bipolar streams represent 2x - 1 in [-1, 1]. Multiplication is a
-single XNOR per bit position of two bipolar streams; scaled addition is a
-per-position multiplexer.
+Numbers are carried as random bit streams, one bool per bit. The fraction
+of ones, x = popcount/length, encodes the value: unipolar streams
+represent x in [0, 1], bipolar streams represent 2x - 1 in [-1, 1]. Bit
+order carries no value. Multiplication is a single XNOR per bit position
+of two bipolar streams; scaled addition is a per-position multiplexer.
 
 All operands of a multiply or add must come from independent substreams:
 correlated inputs silently corrupt products (xnor_mul(a, a) decodes to +1,
@@ -33,9 +33,6 @@ __all__ = [
     "lfsr_period",
 ]
 
-# Ones per byte value, for word-level popcounts of packed streams.
-_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-
 
 class Priori(enum.Enum):
     """Value range convention of a stream."""
@@ -44,59 +41,36 @@ class Priori(enum.Enum):
     BIPOLAR = "bipolar"    # [-1, 1]
 
 
-def _mask_tail(packed: np.ndarray, length: int) -> np.ndarray:
-    """Zero the unused bits of the last byte so popcount stays honest."""
-    tail = length % 8
-    if tail and packed.size:
-        packed[-1] &= np.uint8((0xFF << (8 - tail)) & 0xFF)  # np.packbits is MSB-first
-    return packed
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BitStream:
-    """A packed stochastic bit stream with its length and priori."""
+    """A stochastic bit stream: a non-empty 1-D bool array and its priori."""
 
-    bits: np.ndarray  # packed uint8, MSB-first within each byte
-    length: int
+    bits: np.ndarray
     priori: Priori
 
     def __post_init__(self):
-        if self.length < 1:
+        bits = self.bits
+        if not isinstance(bits, np.ndarray) or bits.dtype != bool or bits.ndim != 1:
+            raise ValueError("bit stream bits must be a 1-D bool array")
+        if bits.size < 1:
             raise ValueError("bit stream length must be >= 1")
-        expected = (self.length + 7) // 8
-        if self.bits.dtype != np.uint8 or self.bits.size != expected:
-            raise ValueError("packed buffer does not match the stated length")
-
-    @classmethod
-    def from_bools(cls, values: np.ndarray, priori: Priori) -> "BitStream":
-        values = np.asarray(values, dtype=bool)
-        packed = np.packbits(values)
-        return cls(_mask_tail(packed, values.size), values.size, priori)
 
     @classmethod
     def zeros(cls, length: int, priori: Priori) -> "BitStream":
-        return cls(np.zeros((length + 7) // 8, dtype=np.uint8), length, priori)
+        return cls(np.zeros(length, dtype=bool), priori)
 
     @classmethod
     def ones(cls, length: int, priori: Priori) -> "BitStream":
-        packed = np.full((length + 7) // 8, 0xFF, dtype=np.uint8)
-        return cls(_mask_tail(packed, length), length, priori)
+        return cls(np.ones(length, dtype=bool), priori)
 
     def popcount(self) -> int:
-        return int(_POPCOUNT8[self.bits].sum())
-
-    def to_bools(self) -> np.ndarray:
-        return np.unpackbits(self.bits)[: self.length].astype(bool)
+        return int(np.count_nonzero(self.bits))
 
     def same_bits(self, other: "BitStream") -> bool:
-        return (
-            self.length == other.length
-            and self.priori is other.priori
-            and np.array_equal(self.bits, other.bits)
-        )
+        return self.priori is other.priori and np.array_equal(self.bits, other.bits)
 
     def __len__(self):
-        return self.length
+        return self.bits.size
 
 
 def _priori_probability(value: float, priori: Priori) -> float:
@@ -113,8 +87,7 @@ def _priori_probability(value: float, priori: Priori) -> float:
 def encode(value: float, length: int, priori: Priori, rng: RngState) -> BitStream:
     """Encode a value as independent Bernoulli draws at the priori's probability."""
     p = _priori_probability(value, priori)
-    draws = rng.generator.random(length) < p
-    return BitStream.from_bools(draws, priori)
+    return BitStream(rng.generator.random(length) < p, priori)
 
 
 def decode(stream: BitStream) -> float:
@@ -123,14 +96,15 @@ def decode(stream: BitStream) -> float:
     The bipolar value is formed as (2*popcount - N) / N so that
     complementary streams decode to exact floating-point negatives.
     """
+    n = len(stream)
     if stream.priori is Priori.UNIPOLAR:
-        return stream.popcount() / stream.length
-    return (2 * stream.popcount() - stream.length) / stream.length
+        return stream.popcount() / n
+    return (2 * stream.popcount() - n) / n
 
 
 def _check_pair(a: BitStream, b: BitStream, op: str, priori: Priori | None):
-    if a.length != b.length:
-        raise ValueError(f"{op}: stream lengths differ ({a.length} vs {b.length})")
+    if len(a) != len(b):
+        raise ValueError(f"{op}: stream lengths differ ({len(a)} vs {len(b)})")
     if priori is not None and (a.priori is not priori or b.priori is not priori):
         raise ValueError(f"{op}: both operands must be {priori.value}")
 
@@ -138,8 +112,7 @@ def _check_pair(a: BitStream, b: BitStream, op: str, priori: Priori | None):
 def xnor_mul(a: BitStream, b: BitStream) -> BitStream:
     """Bipolar multiply: bitwise XNOR of two independent streams."""
     _check_pair(a, b, "xnor_mul", Priori.BIPOLAR)
-    bits = _mask_tail(np.bitwise_not(a.bits ^ b.bits), a.length)
-    return BitStream(bits, a.length, Priori.BIPOLAR)
+    return BitStream(a.bits == b.bits, Priori.BIPOLAR)
 
 
 def scaled_add(a: BitStream, b: BitStream, select: BitStream) -> BitStream:
@@ -151,20 +124,17 @@ def scaled_add(a: BitStream, b: BitStream, select: BitStream) -> BitStream:
     _check_pair(a, b, "scaled_add", None)
     if a.priori is not b.priori:
         raise ValueError("scaled_add: operand prioris differ")
-    if select.length != a.length:
-        raise ValueError(
-            f"scaled_add: select length {select.length} != operand length {a.length}"
-        )
-    bits = (select.bits & a.bits) | (~select.bits & b.bits)
-    return BitStream(_mask_tail(bits, a.length), a.length, a.priori)
+    if len(select) != len(a):
+        raise ValueError(f"scaled_add: select length {len(select)} != operand length {len(a)}")
+    s = select.bits  # logic, not np.where, which is ~17x slower on 16 Kbit streams
+    return BitStream((s & a.bits) | (~s & b.bits), a.priori)
 
 
 def negate(a: BitStream) -> BitStream:
     """Bipolar negation: bitwise NOT, exact (decode flips sign bit-exactly)."""
     if a.priori is not Priori.BIPOLAR:
         raise ValueError("negate: stream must be bipolar")
-    bits = _mask_tail(np.bitwise_not(a.bits), a.length)
-    return BitStream(bits, a.length, Priori.BIPOLAR)
+    return BitStream(~a.bits, Priori.BIPOLAR)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +219,7 @@ def lfsr_stream(value: float, length: int, priori: Priori, lfsr: LfsrState) -> B
     """
     p = _priori_probability(value, priori)
     threshold = p * (1 << lfsr.width)
-    draws = lfsr.words(length) < threshold
-    return BitStream.from_bools(draws, priori)
+    return BitStream(lfsr.words(length) < threshold, priori)
 
 
 def lfsr_period(lfsr: LfsrState, limit: int | None = None) -> int:

@@ -167,7 +167,7 @@ def test_generate_stream_on_count_within_binomial_bound():
     assert abs(stats_.on_count - p * n) <= bound
     assert stats_.tiles == 128
     assert stats_.phases == 2
-    assert stream.length == n
+    assert len(stream) == n
 
 
 def test_generate_stream_rejects_unreachable_probability():
@@ -212,7 +212,7 @@ def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.
             idx = np.arange(phase, cells, 2)
             row[idx] = gen.random(idx.size) < p_cell[idx]
         bits[lo : lo + cells] = row
-    stream = BitStream.from_bools(bits, priori)
+    stream = BitStream(bits, priori)
     stats_ = GenerationStats(
         on_count=stream.popcount(), phases=2, tiles=n_tiles, pulse_width_s=width
     )

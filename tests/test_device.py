@@ -118,9 +118,9 @@ def test_density_values():
     # (delta_t / tau) at t = 0: 0.5 / 0.38 ms ~ 1315.8 per second
     assert switching_time_density(0.0, params) == pytest.approx(0.5 / 0.38e-3, rel=1e-12)
     d0 = switching_time_density(0.0, params)
-    assert switching_time_density(params.tau, params) == pytest.approx(d0 * math.exp(-1))
-    ratio = switching_time_density(2 * params.tau, params) / switching_time_density(
-        params.tau, params
+    assert switching_time_density(params.tau_eff(), params) == pytest.approx(d0 * math.exp(-1))
+    ratio = switching_time_density(2 * params.tau_eff(), params) / switching_time_density(
+        params.tau_eff(), params
     )
     assert ratio == pytest.approx(math.exp(-1), rel=1e-12)
     with pytest.raises(ValueError):
@@ -131,8 +131,8 @@ def test_switching_time_sample_moments():
     params = DeviceParams()
     samples = sample_switching_time(params, RngState(2024).split("times"), size=10**5)
     assert np.all(samples >= 0)
-    assert abs(np.mean(samples) / params.tau - 1) <= 0.02
-    assert abs(np.median(samples) / (params.tau * math.log(2)) - 1) <= 0.02
+    assert abs(np.mean(samples) / params.tau_eff() - 1) <= 0.02
+    assert abs(np.median(samples) / (params.tau_eff() * math.log(2)) - 1) <= 0.02
 
 
 def test_switching_time_chi_square_vs_exponential():
@@ -140,7 +140,7 @@ def test_switching_time_chi_square_vs_exponential():
     params = DeviceParams()
     n, bins = 10**5, 20
     samples = sample_switching_time(params, RngState(99).split("chi2"), size=n)
-    finite = -params.tau * np.log1p(-np.arange(bins) / bins)
+    finite = -params.tau_eff() * np.log1p(-np.arange(bins) / bins)
     edges = np.append(finite, np.inf)
     observed, _ = np.histogram(samples, edges)
     expected = n / bins
@@ -151,8 +151,6 @@ def test_switching_time_chi_square_vs_exponential():
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         DeviceParams(v0=0.0)
-    with pytest.raises(ValueError):
-        DeviceParams(tau=-1.0)
-    for name in ("v0", "tau0", "v_prog", "tau", "cell_jitter"):
+    for name in ("v0", "tau0", "v_prog", "cell_jitter"):
         with pytest.raises(ValueError, match=name):
             DeviceParams(**{name: float("nan")})

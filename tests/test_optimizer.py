@@ -79,8 +79,9 @@ def test_config_validation():
         cfg(mode="adam")
     with pytest.raises(ValueError):
         cfg(exec_mode="quantum")
-    with pytest.raises(ValueError):
-        cfg(clip_lo=1.0, clip_hi=-1.0)
+    for clip in (dict(clip_lo=1.0, clip_hi=-1.0), dict(clip_lo=-2.0), dict(clip_hi=1.5)):
+        with pytest.raises(ValueError):
+            cfg(**clip)
     for bad_n_bit in (1.5, 16384.0, True):
         with pytest.raises(ValueError, match="n_bit"):
             cfg(n_bit=bad_n_bit)

@@ -1,7 +1,9 @@
-"""Every console entry point and every ``__all__`` name must resolve, and the
-package imports nothing beyond the standard library and numpy."""
+"""Every console entry point and every ``__all__`` name must resolve, the
+package imports nothing beyond the standard library and numpy, and its
+dataclasses are frozen values."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import sys
@@ -26,11 +28,15 @@ def test_entry_points_resolve():
         assert callable(obj), name
 
 
-def test_module_exports_resolve():
-    modules = [memsc] + [
+def _modules():
+    return [memsc] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(memsc.__path__, "memsc.")
     ]
+
+
+def test_module_exports_resolve():
+    modules = _modules()
     exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
     assert exported
     missing = [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)]
@@ -53,3 +59,17 @@ def test_runtime_imports_are_stdlib_numpy_or_memsc():
             foreign += [f"{path.relative_to(package)}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert not foreign, foreign
+
+
+def test_dataclasses_are_frozen():
+    # LfsrState is the one mutable dataclass: its register is its state
+    classes = {
+        f"{m.__name__}.{name}": obj
+        for m in _modules()
+        for name, obj in vars(m).items()
+        if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+        and obj.__module__ == m.__name__
+    }
+    assert "memsc.sc.BitStream" in classes and "memsc.nn.data.Dataset" in classes
+    mutable = sorted(name for name, cls in classes.items() if not cls.__dataclass_params__.frozen)
+    assert mutable == ["memsc.sc.LfsrState"]

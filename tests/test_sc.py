@@ -5,6 +5,7 @@ Bernoulli probabilities (computed inline), with Monte-Carlo tolerances of
 4 sigma unless stated otherwise.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -41,7 +42,26 @@ def test_decode_trivial_streams():
     assert decode(BitStream.zeros(64, Priori.BIPOLAR)) == -1.0
     # 8-bit pattern 10110010: popcount 4 -> unipolar 0.5
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool)
-    assert decode(BitStream.from_bools(bits, Priori.UNIPOLAR)) == 0.5
+    assert decode(BitStream(bits, Priori.UNIPOLAR)) == 0.5
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([1, 0, 1], dtype=np.uint8),  # not bool
+    np.zeros((2, 4), dtype=bool),         # not 1-D
+    np.zeros(0, dtype=bool),              # empty
+    [True, False],                        # not an array
+])
+def test_bitstream_rejects_malformed_bits(bits):
+    with pytest.raises(ValueError):
+        BitStream(bits, Priori.BIPOLAR)
+
+
+def test_bitstream_is_frozen():
+    s = BitStream.ones(8, Priori.BIPOLAR)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.bits = np.zeros(8, dtype=bool)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.priori = Priori.UNIPOLAR
 
 
 def test_encode_bipolar_boundaries():
@@ -51,7 +71,7 @@ def test_encode_bipolar_boundaries():
 
 def test_encode_bipolar_zero_is_half_probability():
     s = encode(0.0, 1 << 16, Priori.BIPOLAR, rng("zero"))
-    assert abs(s.popcount() / s.length - 0.5) < 4 * np.sqrt(0.25 / s.length)
+    assert abs(s.popcount() / len(s) - 0.5) < 4 * np.sqrt(0.25 / len(s))
 
 
 def test_encode_out_of_range_raises():
@@ -92,6 +112,19 @@ def test_encode_decode_tolerance_grid():
             scale = 1.0 if priori is Priori.UNIPOLAR else 2.0
             hits = sum(e <= scale * tol for e in errors)
             assert hits >= 198, (priori, v, hits)
+
+
+@pytest.mark.parametrize("value,priori,p", [
+    (0.3, Priori.UNIPOLAR, 0.3),
+    (-0.4, Priori.BIPOLAR, 0.3),
+    (0.9, Priori.BIPOLAR, 0.95),
+])
+@pytest.mark.parametrize("n", [1, 13, 4096])
+def test_encode_bits_are_uniform_draws_below_p(value, priori, p, n):
+    # bit i is 1 iff the i-th uniform of a fresh substream with the same labels is below p
+    s = encode(value, n, priori, rng("pin", n))
+    assert s.priori is priori
+    assert np.array_equal(s.bits, rng("pin", n).generator.random(n) < p)
 
 
 def test_determinism_same_seed_and_label():
@@ -166,11 +199,12 @@ def test_scaled_add_expectations():
 def test_scaled_add_exhaustive_selection_small_n():
     # per-position multiplex semantics, exhaustive at N=4
     for abits, bbits, sbits in itertools.product(range(16), repeat=3):
-        a = BitStream.from_bools([(abits >> i) & 1 for i in range(4)], Priori.UNIPOLAR)
-        b = BitStream.from_bools([(bbits >> i) & 1 for i in range(4)], Priori.UNIPOLAR)
-        s = BitStream.from_bools([(sbits >> i) & 1 for i in range(4)], Priori.UNIPOLAR)
-        out = scaled_add(a, b, s).to_bools()
-        expect = np.where(s.to_bools(), a.to_bools(), b.to_bools())
+        a, b, s = (
+            BitStream(np.array([(v >> i) & 1 for i in range(4)], dtype=bool), Priori.UNIPOLAR)
+            for v in (abits, bbits, sbits)
+        )
+        out = scaled_add(a, b, s).bits
+        expect = np.where(s.bits, a.bits, b.bits)
         assert np.array_equal(out, expect)
 
 
@@ -192,17 +226,35 @@ def test_negate_exact():
         s = encode(np.sin(k), 257, Priori.BIPOLAR, rng("neg", k))
         assert decode(negate(s)) == -decode(s)
         assert negate(negate(s)).same_bits(s)
-        assert negate(s).popcount() == s.length - s.popcount()
+        assert negate(s).popcount() == len(s) - s.popcount()
     with pytest.raises(ValueError):
         negate(encode(0.5, 64, Priori.UNIPOLAR, rng("negu")))
 
 
+@st.composite
+def bool_triples(draw):
+    n = draw(st.integers(min_value=1, max_value=200))
+    same_length = st.lists(st.booleans(), min_size=n, max_size=n)
+    return draw(same_length), draw(same_length), draw(same_length)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=200))
-def test_negate_involution_property(bools):
-    s = BitStream.from_bools(np.array(bools, dtype=bool), Priori.BIPOLAR)
+@given(bool_triples())
+def test_negate_involution_property(triple):
+    # lengths 1-200 take every residue mod 8 and mod 64, so partial words are covered
+    bools, others, selects = triple
+    s = BitStream(np.array(bools, dtype=bool), Priori.BIPOLAR)
     assert negate(negate(s)).same_bits(s)
     assert decode(negate(s)) == pytest.approx(-decode(s), abs=0)
+    # every operation against its per-position truth table
+    t = BitStream(np.array(others, dtype=bool), Priori.BIPOLAR)
+    sel = BitStream(np.array(selects, dtype=bool), Priori.UNIPOLAR)
+    assert s.popcount() == sum(bools)
+    assert negate(s).bits.tolist() == [not x for x in bools]
+    assert xnor_mul(s, t).bits.tolist() == [x == y for x, y in zip(bools, others)]
+    assert scaled_add(s, t, sel).bits.tolist() == [
+        x if c else y for x, y, c in zip(bools, others, selects)
+    ]
 
 
 # ---------------------------------------------------------------------------
