@@ -15,10 +15,15 @@ momentum v' = gamma*v + eta*g, then theta - v'). Its exec modes are
             Binomial(n_bit, (2 + x)/4): a MUX whose doubled output is x
             has a half-sum stream of that one-probability, so x becomes
             clamp(4*k/n_bit - 2) for the popcount k,
-  bitexact  ``sc_sgd_step`` / ``sc_momentum_step`` per element.
-The ``sc_*_step`` functions simulate the streams bit by bit; they
-are the datapath itself and the independent reference that the binomial
-law is tested against.
+  bitexact  the stream datapath per element, on the streams that
+            ``sc_sgd_step`` / ``sc_momentum_step`` of ``rng.split(i)``
+            would open, with the gradient clipped once per tensor.
+The ``sc_*_step`` functions simulate the streams bit by bit; they are the
+per-element reference, seeding each role's stream on its own, and the
+independent reference that the binomial law is tested against. The
+bitexact mode runs the same datapath but opens every (element, role)
+substream of a tensor in one seeding pass (``RngState.splits``), which
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -87,26 +92,57 @@ def _clamp_unit(x):
 # Bit-exact stream datapaths.
 # ---------------------------------------------------------------------------
 
-def _bipolar(value: float, cfg: OptimizerConfig, rng: RngState, label: str) -> BitStream:
-    return encode(value, cfg.n_bit, Priori.BIPOLAR, rng.split(label))
+_SGD_ROLES = ("g", "neg_eta", "theta", "select")
+_MOMENTUM_ROLES = ("gamma", "v", "eta", "g", "v_select", "theta", "v_new", "theta_select")
 
 
-def _select(cfg: OptimizerConfig, rng: RngState, label: str) -> BitStream:
-    return encode(0.5, cfg.n_bit, Priori.UNIPOLAR, rng.split(label))
+def _bipolar(value: float, cfg: OptimizerConfig, rng: RngState) -> BitStream:
+    return encode(value, cfg.n_bit, Priori.BIPOLAR, rng)
+
+
+def _select(cfg: OptimizerConfig, rng: RngState) -> BitStream:
+    return encode(0.5, cfg.n_bit, Priori.UNIPOLAR, rng)
+
+
+def _sgd_datapath(
+    theta: float, g_c: float, cfg: OptimizerConfig, streams: dict[str, RngState]
+) -> float:
+    """SGD on a clipped gradient, with one substream per role of ``_SGD_ROLES``."""
+    product = xnor_mul(
+        _bipolar(g_c, cfg, streams["g"]),
+        _bipolar(-cfg.eta, cfg, streams["neg_eta"]),
+    )
+    half_sum = scaled_add(
+        _bipolar(theta, cfg, streams["theta"]), product, _select(cfg, streams["select"])
+    )
+    # Scaled addition halves the sum; double at decode and clamp to range.
+    return float(_clamp_unit(2.0 * decode(half_sum)))
+
+
+def _momentum_datapath(
+    theta: float, velocity: float, g_c: float, cfg: OptimizerConfig, streams: dict[str, RngState]
+) -> tuple[float, float]:
+    """Momentum on a clipped gradient, with one substream per role of ``_MOMENTUM_ROLES``."""
+    v_half = scaled_add(
+        xnor_mul(
+            _bipolar(cfg.gamma, cfg, streams["gamma"]), _bipolar(velocity, cfg, streams["v"])
+        ),
+        xnor_mul(_bipolar(cfg.eta, cfg, streams["eta"]), _bipolar(g_c, cfg, streams["g"])),
+        _select(cfg, streams["v_select"]),
+    )
+    v_new = float(_clamp_unit(2.0 * decode(v_half)))
+    theta_half = scaled_add(
+        _bipolar(theta, cfg, streams["theta"]),
+        negate(_bipolar(v_new, cfg, streams["v_new"])),
+        _select(cfg, streams["theta_select"]),
+    )
+    return float(_clamp_unit(2.0 * decode(theta_half))), v_new
 
 
 def sc_sgd_step(theta: float, g: float, cfg: OptimizerConfig, rng: RngState) -> float:
     """One SGD update through the stream datapath (XNOR product, MUX add)."""
-    g_c = clip_gradient(g, cfg)
-    product = xnor_mul(
-        _bipolar(g_c, cfg, rng, "g"),
-        _bipolar(-cfg.eta, cfg, rng, "neg_eta"),
-    )
-    half_sum = scaled_add(
-        _bipolar(theta, cfg, rng, "theta"), product, _select(cfg, rng, "select")
-    )
-    # Scaled addition halves the sum; double at decode and clamp to range.
-    return float(_clamp_unit(2.0 * decode(half_sum)))
+    streams = {role: rng.split(role) for role in _SGD_ROLES}
+    return _sgd_datapath(theta, clip_gradient(g, cfg), cfg, streams)
 
 
 def sc_momentum_step(
@@ -117,19 +153,8 @@ def sc_momentum_step(
     The velocity is decoded and re-encoded between its two uses; keeping it
     stream-resident across steps would correlate successive updates.
     """
-    g_c = clip_gradient(g, cfg)
-    v_half = scaled_add(
-        xnor_mul(_bipolar(cfg.gamma, cfg, rng, "gamma"), _bipolar(velocity, cfg, rng, "v")),
-        xnor_mul(_bipolar(cfg.eta, cfg, rng, "eta"), _bipolar(g_c, cfg, rng, "g")),
-        _select(cfg, rng, "v_select"),
-    )
-    v_new = float(_clamp_unit(2.0 * decode(v_half)))
-    theta_half = scaled_add(
-        _bipolar(theta, cfg, rng, "theta"),
-        negate(_bipolar(v_new, cfg, rng, "v_new")),
-        _select(cfg, rng, "theta_select"),
-    )
-    return float(_clamp_unit(2.0 * decode(theta_half))), v_new
+    streams = {role: rng.split(role) for role in _MOMENTUM_ROLES}
+    return _momentum_datapath(theta, velocity, clip_gradient(g, cfg), cfg, streams)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +218,26 @@ def update_tensor(
         new_v = mux(cfg.gamma * v + cfg.eta * g_c)
         return mux(params - new_v), new_v, e_grad_stat
 
-    # bitexact: per-element streams with (index, role) substream labels
+    # bitexact: per-element streams labelled (index, role), all seeded in one pass
+    roles = _SGD_ROLES if cfg.mode == "sgd" else _MOMENTUM_ROLES
     flat_p = params.reshape(-1)
     flat_g = g_c.reshape(-1)
+    children = rng.splits([(i, role) for i in range(flat_p.size) for role in roles])
+    streams = [
+        dict(zip(roles, children[k : k + len(roles)]))
+        for k in range(0, len(children), len(roles))
+    ]
     new_flat = np.empty_like(flat_p)
     if cfg.mode == "sgd":
-        for i in range(flat_p.size):
-            new_flat[i] = sc_sgd_step(float(flat_p[i]), float(flat_g[i]), cfg, rng.split(i))
+        for i, stream in enumerate(streams):
+            new_flat[i] = _sgd_datapath(float(flat_p[i]), float(flat_g[i]), cfg, stream)
         new_v = None
     else:
         flat_v = v.reshape(-1)
         new_v_flat = np.empty_like(flat_v)
-        for i in range(flat_p.size):
-            new_flat[i], new_v_flat[i] = sc_momentum_step(
-                float(flat_p[i]), float(flat_v[i]), float(flat_g[i]), cfg, rng.split(i)
+        for i, stream in enumerate(streams):
+            new_flat[i], new_v_flat[i] = _momentum_datapath(
+                float(flat_p[i]), float(flat_v[i]), float(flat_g[i]), cfg, stream
             )
         new_v = new_v_flat.reshape(params.shape)
     return new_flat.reshape(params.shape), new_v, e_grad_stat

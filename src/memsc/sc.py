@@ -43,7 +43,11 @@ class Priori(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class BitStream:
-    """A stochastic bit stream: a non-empty 1-D bool array and its priori."""
+    """A stochastic bit stream: a non-empty 1-D bool array and its priori.
+
+    The stream takes the array it is handed and makes it read-only; a view
+    is copied first, since its base could still write the bits.
+    """
 
     bits: np.ndarray
     priori: Priori
@@ -54,6 +58,10 @@ class BitStream:
             raise ValueError("bit stream bits must be a 1-D bool array")
         if bits.size < 1:
             raise ValueError("bit stream length must be >= 1")
+        if bits.base is not None:
+            bits = bits.copy()
+            object.__setattr__(self, "bits", bits)
+        bits.flags.writeable = False
 
     @classmethod
     def zeros(cls, length: int, priori: Priori) -> "BitStream":

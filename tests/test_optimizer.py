@@ -10,6 +10,7 @@ hundreds of repetitions sit well inside the 0.05 bands used here.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -335,6 +336,54 @@ def test_update_tensor_bitexact_determinism():
     a = update_tensor(params, grads, c, rng("ud"), velocity=np.zeros(2))
     b = update_tensor(params, grads, c, rng("ud"), velocity=np.zeros(2))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("n_bit", [1, 129])
+@pytest.mark.parametrize("mode", ["sgd", "momentum"])
+def test_update_tensor_bitexact_matches_per_element_steps(mode, n_bit):
+    # every (theta, v) clamp corner, each with gradients beyond both clip bounds
+    grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [-3.0, 0.2, 2.5])))
+    theta, v, g = (grid[:, k].reshape(9, 3) for k in range(3))
+    c = cfg(mode=mode, eta=0.5, gamma=0.6, n_bit=n_bit, clip_lo=-0.5, clip_hi=0.75,
+            exec_mode="bitexact")
+    root = rng("per-element", mode, n_bit)
+    new_theta, new_v, _ = update_tensor(theta, g, c, root,
+                                        velocity=v if mode == "momentum" else None)
+    want_theta, want_v = np.empty(theta.size), np.empty(theta.size)
+    for i, (t, vi, gi) in enumerate(zip(theta.ravel(), v.ravel(), g.ravel())):
+        if mode == "sgd":
+            want_theta[i] = sc_sgd_step(t, gi, c, root.split(i))
+        else:
+            want_theta[i], want_v[i] = sc_momentum_step(t, vi, gi, c, root.split(i))
+    assert np.array_equal(new_theta, want_theta.reshape(theta.shape))
+    if mode == "sgd":
+        assert new_v is None
+    else:
+        assert np.array_equal(new_v, want_v.reshape(theta.shape))
+
+
+@pytest.mark.parametrize("mode, per_step", [("sgd", 4), ("momentum", 8)])
+def test_bitexact_update_tensor_seeds_in_one_pass(monkeypatch, mode, per_step):
+    # numpy's SeedSequence seeds one substream at a time; update_tensor must
+    # open all of a tensor's substreams through RngState's array pass, while
+    # sc_*_step, the per-element reference, keeps numpy's own seeding
+    made = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    c = cfg(mode=mode, n_bit=64, exec_mode="bitexact")
+    velocity = np.zeros((2, 3)) if mode == "momentum" else None
+    update_tensor(np.zeros((2, 3)), np.full((2, 3), 0.1), c, rng("seeding"), velocity=velocity)
+    assert made == []
+    if mode == "sgd":
+        sc_sgd_step(0.0, 0.1, c, rng("seeding-ref"))
+    else:
+        sc_momentum_step(0.0, 0.0, 0.1, c, rng("seeding-ref"))
+    assert len(made) == per_step
 
 
 def test_update_tensor_out_of_range_params_rejected():

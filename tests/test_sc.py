@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from memsc.crossbar import TileConfig, generate_stream
+from memsc.device import DeviceParams
 from memsc.rng import RngState
 from memsc.sc import (
     BitStream,
@@ -62,6 +64,47 @@ def test_bitstream_is_frozen():
         s.bits = np.zeros(8, dtype=bool)
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.priori = Priori.UNIPOLAR
+
+
+def _streams_of_every_producer():
+    a = encode(0.0, 64, Priori.BIPOLAR, rng("ro", "a"))
+    b = encode(0.3, 64, Priori.BIPOLAR, rng("ro", "b"))
+    sel = encode(0.5, 64, Priori.UNIPOLAR, rng("ro", "s"))
+    generated, _ = generate_stream(0.4, 64, DeviceParams(), TileConfig(), rng("ro", "gen"))
+    return {
+        "encode": a,
+        "xnor_mul": xnor_mul(a, b),
+        "scaled_add": scaled_add(a, b, sel),
+        "negate": negate(a),
+        "generate_stream": generated,
+        "lfsr_stream": lfsr_stream(0.4, 64, Priori.UNIPOLAR, LfsrState()),
+    }
+
+
+@pytest.mark.parametrize(
+    "producer",
+    ["encode", "xnor_mul", "scaled_add", "negate", "generate_stream", "lfsr_stream"],
+)
+def test_stream_bits_are_read_only(producer):
+    s = _streams_of_every_producer()[producer]
+    before = s.popcount()
+    with pytest.raises(ValueError):
+        s.bits[:] = True
+    with pytest.raises(ValueError):
+        s.bits[0] = not s.bits[0]
+    assert s.popcount() == before
+
+
+def test_bitstream_owns_its_bits():
+    handed = np.zeros(8, dtype=bool)
+    s = BitStream(handed, Priori.UNIPOLAR)
+    with pytest.raises(ValueError):
+        handed[:] = True
+    base = np.zeros(16, dtype=bool)
+    view = BitStream(base[::2], Priori.UNIPOLAR)
+    base[:] = True
+    assert s.popcount() == view.popcount() == 0
+    assert base.flags.writeable
 
 
 def test_encode_bipolar_boundaries():
