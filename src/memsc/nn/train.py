@@ -40,6 +40,8 @@ class TrainProtocol:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.eval_every is not None and (not is_int(self.eval_every) or self.eval_every < 0):
             raise ValueError(f"eval_every must be None or an int >= 0, got {self.eval_every!r}")
 

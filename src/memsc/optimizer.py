@@ -15,15 +15,16 @@ momentum v' = gamma*v + eta*g, then theta - v'). Its exec modes are
             Binomial(n_bit, (2 + x)/4): a MUX whose doubled output is x
             has a half-sum stream of that one-probability, so x becomes
             clamp(4*k/n_bit - 2) for the popcount k,
-  bitexact  the stream datapath per element, on the streams that
-            ``sc_sgd_step`` / ``sc_momentum_step`` of ``rng.split(i)``
-            would open, with the gradient clipped once per tensor.
+  bitexact  ``sc_sgd_step`` / ``sc_momentum_step`` element by element in
+            flattened order, all on the tensor's one stream ``rng``.
 The ``sc_*_step`` functions simulate the streams bit by bit; they are the
-per-element reference, seeding each role's stream on its own, and the
-independent reference that the binomial law is tested against. The
-bitexact mode runs the same datapath but opens every (element, role)
-substream of a tensor in one seeding pass (``RngState.splits``), which
-gives the same bits.
+independent reference that the binomial law is tested against. Each
+draws its operand streams one after another from the one generator it is
+given, in the order the ``encode`` calls appear in its datapath (SGD: g,
+-eta, theta, select; momentum: gamma, v, eta, g, v_select, theta, v_new,
+theta_select). Bit order carries no value and no stream is reused, so
+successive draws of one PCG64 stream are as independent as separately
+seeded substreams.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ def _clamp_unit(x):
 # Bit-exact stream datapaths.
 # ---------------------------------------------------------------------------
 
-_SGD_ROLES = ("g", "neg_eta", "theta", "select")
-_MOMENTUM_ROLES = ("gamma", "v", "eta", "g", "v_select", "theta", "v_new", "theta_select")
-
-
 def _bipolar(value: float, cfg: OptimizerConfig, rng: RngState) -> BitStream:
     return encode(value, cfg.n_bit, Priori.BIPOLAR, rng)
 
@@ -104,45 +101,18 @@ def _select(cfg: OptimizerConfig, rng: RngState) -> BitStream:
     return encode(0.5, cfg.n_bit, Priori.UNIPOLAR, rng)
 
 
-def _sgd_datapath(
-    theta: float, g_c: float, cfg: OptimizerConfig, streams: dict[str, RngState]
-) -> float:
-    """SGD on a clipped gradient, with one substream per role of ``_SGD_ROLES``."""
-    product = xnor_mul(
-        _bipolar(g_c, cfg, streams["g"]),
-        _bipolar(-cfg.eta, cfg, streams["neg_eta"]),
-    )
-    half_sum = scaled_add(
-        _bipolar(theta, cfg, streams["theta"]), product, _select(cfg, streams["select"])
-    )
+def _doubled(half_sum: BitStream) -> float:
     # Scaled addition halves the sum; double at decode and clamp to range.
     return float(_clamp_unit(2.0 * decode(half_sum)))
 
 
-def _momentum_datapath(
-    theta: float, velocity: float, g_c: float, cfg: OptimizerConfig, streams: dict[str, RngState]
-) -> tuple[float, float]:
-    """Momentum on a clipped gradient, with one substream per role of ``_MOMENTUM_ROLES``."""
-    v_half = scaled_add(
-        xnor_mul(
-            _bipolar(cfg.gamma, cfg, streams["gamma"]), _bipolar(velocity, cfg, streams["v"])
-        ),
-        xnor_mul(_bipolar(cfg.eta, cfg, streams["eta"]), _bipolar(g_c, cfg, streams["g"])),
-        _select(cfg, streams["v_select"]),
-    )
-    v_new = float(_clamp_unit(2.0 * decode(v_half)))
-    theta_half = scaled_add(
-        _bipolar(theta, cfg, streams["theta"]),
-        negate(_bipolar(v_new, cfg, streams["v_new"])),
-        _select(cfg, streams["theta_select"]),
-    )
-    return float(_clamp_unit(2.0 * decode(theta_half))), v_new
-
-
 def sc_sgd_step(theta: float, g: float, cfg: OptimizerConfig, rng: RngState) -> float:
-    """One SGD update through the stream datapath (XNOR product, MUX add)."""
-    streams = {role: rng.split(role) for role in _SGD_ROLES}
-    return _sgd_datapath(theta, clip_gradient(g, cfg), cfg, streams)
+    """One SGD update through the stream datapath (XNOR product, MUX add).
+
+    Its streams are drawn in turn from ``rng``: g, -eta, theta, select.
+    """
+    product = xnor_mul(_bipolar(clip_gradient(g, cfg), cfg, rng), _bipolar(-cfg.eta, cfg, rng))
+    return _doubled(scaled_add(_bipolar(theta, cfg, rng), product, _select(cfg, rng)))
 
 
 def sc_momentum_step(
@@ -150,11 +120,21 @@ def sc_momentum_step(
 ) -> tuple[float, float]:
     """One momentum update, returning (theta, velocity) resolved in-stream.
 
-    The velocity is decoded and re-encoded between its two uses; keeping it
-    stream-resident across steps would correlate successive updates.
+    Its streams are drawn in turn from ``rng``: gamma, v, eta, g, v_select,
+    theta, v_new, theta_select. The velocity is decoded and re-encoded
+    between its two uses; keeping it stream-resident across steps would
+    correlate successive updates.
     """
-    streams = {role: rng.split(role) for role in _MOMENTUM_ROLES}
-    return _momentum_datapath(theta, velocity, clip_gradient(g, cfg), cfg, streams)
+    g_c = clip_gradient(g, cfg)
+    v_new = _doubled(scaled_add(
+        xnor_mul(_bipolar(cfg.gamma, cfg, rng), _bipolar(velocity, cfg, rng)),
+        xnor_mul(_bipolar(cfg.eta, cfg, rng), _bipolar(g_c, cfg, rng)),
+        _select(cfg, rng),
+    ))
+    theta_new = _doubled(scaled_add(
+        _bipolar(theta, cfg, rng), negate(_bipolar(v_new, cfg, rng)), _select(cfg, rng)
+    ))
+    return theta_new, v_new
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +166,16 @@ def update_tensor(
     the mean on-cell probability (clip(g)+1)/2 of the encoded gradient
     array, feeding the crossbar power model. Velocity is carried only in
     momentum mode (pass the previous array back in, zeros to start).
-    0-d arrays give the scalar update. Non-finite parameters or velocities
-    raise ValueError in every exec mode; the SC modes also need them in
-    [-1, 1].
+    0-d arrays give the scalar update. Empty tensors and non-finite
+    parameters or velocities raise ValueError in every exec mode; the SC
+    modes also need them in [-1, 1].
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
+    if params.size == 0:
+        raise ValueError("params must hold at least one element")
     g_c = np.asarray(clip_gradient(grads, cfg), dtype=float)
     e_grad_stat = float(np.mean((g_c + 1.0) / 2.0))
 
@@ -218,26 +200,13 @@ def update_tensor(
         new_v = mux(cfg.gamma * v + cfg.eta * g_c)
         return mux(params - new_v), new_v, e_grad_stat
 
-    # bitexact: per-element streams labelled (index, role), all seeded in one pass
-    roles = _SGD_ROLES if cfg.mode == "sgd" else _MOMENTUM_ROLES
-    flat_p = params.reshape(-1)
-    flat_g = g_c.reshape(-1)
-    children = rng.splits([(i, role) for i in range(flat_p.size) for role in roles])
-    streams = [
-        dict(zip(roles, children[k : k + len(roles)]))
-        for k in range(0, len(children), len(roles))
-    ]
-    new_flat = np.empty_like(flat_p)
+    # bitexact: sc_*_step element by element in flattened order, on rng's one stream
+    flat_p, flat_g = params.reshape(-1), grads.reshape(-1)
     if cfg.mode == "sgd":
-        for i, stream in enumerate(streams):
-            new_flat[i] = _sgd_datapath(float(flat_p[i]), float(flat_g[i]), cfg, stream)
-        new_v = None
-    else:
-        flat_v = v.reshape(-1)
-        new_v_flat = np.empty_like(flat_v)
-        for i, stream in enumerate(streams):
-            new_flat[i], new_v_flat[i] = _momentum_datapath(
-                float(flat_p[i]), float(flat_v[i]), float(flat_g[i]), cfg, stream
-            )
-        new_v = new_v_flat.reshape(params.shape)
-    return new_flat.reshape(params.shape), new_v, e_grad_stat
+        new = [sc_sgd_step(float(t), float(g), cfg, rng) for t, g in zip(flat_p, flat_g)]
+        return np.reshape(new, params.shape), None, e_grad_stat
+    steps = np.array([
+        sc_momentum_step(float(t), float(vi), float(g), cfg, rng)
+        for t, vi, g in zip(flat_p, v.reshape(-1), flat_g)
+    ])
+    return steps[:, 0].reshape(params.shape), steps[:, 1].reshape(params.shape), e_grad_stat

@@ -11,15 +11,14 @@ numpy version; numpy scalars are refused because theirs do
 (``repr(np.int64(3))`` is ``'3'`` under numpy 1.x and ``'np.int64(3)'``
 under numpy 2).
 
-Two entry points seed many substreams at once: ``generators(label,
-count)`` for callers that open one stream per tile (``generate_stream``),
-and ``splits(suffixes)`` for the bit-exact update, which opens one stream
-per (element, role) of a tensor. Both run SeedSequence's entropy mixing and
-``generate_state`` as uint32 array arithmetic over all the substreams and
-hand each row of seed words to PCG64, so each generator is bit-identical to
-the one ``split`` gives. On a single stream the array pass is slower than
-numpy's own ``SeedSequence``, so ``generator`` keeps that one; it is also
-the oracle the batch path is tested against.
+``generators(label, count)`` seeds many substreams at once, for callers
+that open one stream per tile (``generate_stream``). It runs
+SeedSequence's entropy mixing and ``generate_state`` as uint32 array
+arithmetic over all the substreams and hands each row of seed words to
+PCG64, so each generator is bit-identical to the one ``split`` gives. On a
+single stream the array pass is slower than numpy's own ``SeedSequence``,
+so ``generator`` keeps that one; it is also the oracle the batch path is
+tested against.
 """
 
 from __future__ import annotations
@@ -106,27 +105,21 @@ def _label_digest(seed: int, labels: tuple) -> bytes:
     return hashlib.sha256(repr((seed, labels)).encode("utf-8")).digest()[:16]
 
 
-def _seeded_generators(seed: int, label_rows) -> list[np.random.Generator]:
-    """Generators of ``RngState(seed, labels)`` for each row of labels, seeded in one pass."""
-    digests = b"".join(_label_digest(seed, labels) for labels in label_rows)
-    entropy = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
-    return [
-        np.random.Generator(np.random.PCG64(_PresetSeed(words)))
-        for words in _seed_words(entropy)
-    ]
-
-
 class RngState:
     """Opaque generator state, splittable into independent substreams.
 
     ``split(*labels)`` derives a child stream; identical (seed, labels)
     always reproduce the same bit sequence. Labels must be built-in ints,
-    floats or strings; anything else raises ``TypeError``.
+    floats or strings; anything else raises ``TypeError``. The seed must be
+    a Python or numpy int (stored as ``int``); anything else raises
+    ``ValueError``.
     """
 
     __slots__ = ("seed", "labels", "_generator")
 
     def __init__(self, seed: int, labels: tuple = ()):
+        if not is_int(seed):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         self.seed = int(seed)
         self.labels = tuple(labels)
         _check_labels(self.labels)
@@ -149,18 +142,14 @@ class RngState:
         _check_labels((label,))
         if not is_int(count) or count < 0:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
-        return _seeded_generators(self.seed, [self.labels + (label, t) for t in range(count)])
-
-    def splits(self, suffixes) -> list["RngState"]:
-        """``[self.split(*s) for s in suffixes]``, their generators seeded in one pass.
-
-        Each suffix is a tuple of labels.
-        """
-        children = [RngState(self.seed, self.labels + suffix) for suffix in suffixes]
-        gens = _seeded_generators(self.seed, [child.labels for child in children])
-        for child, gen in zip(children, gens):
-            child._generator = gen
-        return children
+        digests = b"".join(
+            _label_digest(self.seed, self.labels + (label, t)) for t in range(count)
+        )
+        entropy = np.frombuffer(digests, dtype="<u4").reshape(-1, 4)
+        return [
+            np.random.Generator(np.random.PCG64(_PresetSeed(words)))
+            for words in _seed_words(entropy)
+        ]
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, labels={self.labels!r})"

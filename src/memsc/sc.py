@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_int
 from .rng import RngState
 
 __all__ = [
@@ -194,8 +195,8 @@ class LfsrState:
         raising k as soon as the condition allows. ``step()`` is the
         one-step reference. The register is left after ``count`` steps.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        if not is_int(count) or count < 0:
+            raise ValueError(f"count must be an int >= 0, got {count!r}")
         w, taps = self.width, self.taps
         n = count + w
         a = np.empty(n, dtype=np.int64)

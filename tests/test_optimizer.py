@@ -2,7 +2,10 @@
 
 The scalar float and binomial updates are ``update_tensor`` on 0-d arrays;
 the bit-exact datapath ``sc_*_step`` is the independent reference that the
-binomial law is KS-tested against.
+binomial law is KS-tested against. ``update_tensor``'s bitexact mode is
+``sc_*_step`` looped over the tensor in flattened order on its one stream;
+the order in which a step draws its streams is pinned against the
+datapath composed by hand from ``encode``, ``xnor_mul`` and ``scaled_add``.
 
 Monte-Carlo tolerances come from the composed stream variance: the doubled
 decode of a half-sum stream has sigma <= 2/sqrt(n_bit), so means over
@@ -14,6 +17,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from memsc.optimizer import (
@@ -24,6 +29,7 @@ from memsc.optimizer import (
     update_tensor,
 )
 from memsc.rng import RngState
+from memsc.sc import Priori, decode, encode, negate, scaled_add, xnor_mul
 
 
 def cfg(**kw):
@@ -349,12 +355,14 @@ def test_update_tensor_bitexact_matches_per_element_steps(mode, n_bit):
     root = rng("per-element", mode, n_bit)
     new_theta, new_v, _ = update_tensor(theta, g, c, root,
                                         velocity=v if mode == "momentum" else None)
+    # the reference: one fresh stream with the tensor's labels, drawn in flattened order
+    stream = RngState(root.seed, root.labels)
     want_theta, want_v = np.empty(theta.size), np.empty(theta.size)
     for i, (t, vi, gi) in enumerate(zip(theta.ravel(), v.ravel(), g.ravel())):
         if mode == "sgd":
-            want_theta[i] = sc_sgd_step(t, gi, c, root.split(i))
+            want_theta[i] = sc_sgd_step(t, gi, c, stream)
         else:
-            want_theta[i], want_v[i] = sc_momentum_step(t, vi, gi, c, root.split(i))
+            want_theta[i], want_v[i] = sc_momentum_step(t, vi, gi, c, stream)
     assert np.array_equal(new_theta, want_theta.reshape(theta.shape))
     if mode == "sgd":
         assert new_v is None
@@ -362,11 +370,10 @@ def test_update_tensor_bitexact_matches_per_element_steps(mode, n_bit):
         assert np.array_equal(new_v, want_v.reshape(theta.shape))
 
 
-@pytest.mark.parametrize("mode, per_step", [("sgd", 4), ("momentum", 8)])
-def test_bitexact_update_tensor_seeds_in_one_pass(monkeypatch, mode, per_step):
-    # numpy's SeedSequence seeds one substream at a time; update_tensor must
-    # open all of a tensor's substreams through RngState's array pass, while
-    # sc_*_step, the per-element reference, keeps numpy's own seeding
+@pytest.mark.parametrize("mode", ["sgd", "momentum"])
+def test_bitexact_update_draws_from_one_stream(monkeypatch, mode):
+    # a tensor's bit-exact update seeds one generator, the one of the rng it
+    # is given, and opens no substream; so does a single sc_momentum_step
     made = []
     real = np.random.SeedSequence
 
@@ -374,16 +381,107 @@ def test_bitexact_update_tensor_seeds_in_one_pass(monkeypatch, mode, per_step):
         made.append(args)
         return real(*args, **kwargs)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("bit-exact updates open no substream")
+
+    tensor_rng, step_rng = rng("seeding"), rng("seeding-ref")
     monkeypatch.setattr(np.random, "SeedSequence", counting)
+    monkeypatch.setattr(RngState, "split", refused)
+    monkeypatch.setattr(RngState, "generators", refused)
     c = cfg(mode=mode, n_bit=64, exec_mode="bitexact")
     velocity = np.zeros((2, 3)) if mode == "momentum" else None
-    update_tensor(np.zeros((2, 3)), np.full((2, 3), 0.1), c, rng("seeding"), velocity=velocity)
-    assert made == []
-    if mode == "sgd":
-        sc_sgd_step(0.0, 0.1, c, rng("seeding-ref"))
+    update_tensor(np.zeros((2, 3)), np.full((2, 3), 0.1), c, tensor_rng, velocity=velocity)
+    assert len(made) == 1
+    made.clear()
+    sc_momentum_step(0.0, 0.0, 0.1, cfg(mode="momentum", n_bit=64), step_rng)
+    assert len(made) == 1
+
+
+def _by_hand(draws, r):
+    """Encode (value, priori) pairs on ``r`` one after another, in the order given."""
+    return [encode(value, 64, priori, r) for value, priori in draws]
+
+
+def _doubled(half_sum):
+    return float(np.clip(2.0 * decode(half_sum), -1.0, 1.0))
+
+
+# At 64 bits one seed leaves a few other draw orders giving the same
+# output; over these four only the documented order matches.
+ORDER_SEEDS = [5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("seed", ORDER_SEEDS)
+def test_sc_sgd_step_draw_order_is_pinned(seed):
+    # g, -eta, theta, select, taken in turn from the one stream
+    c = cfg(n_bit=64)
+    g, neg_eta, theta, select = _by_hand(
+        [(-0.4, Priori.BIPOLAR), (-c.eta, Priori.BIPOLAR), (0.3, Priori.BIPOLAR),
+         (0.5, Priori.UNIPOLAR)], RngState(seed))
+    want = _doubled(scaled_add(theta, xnor_mul(g, neg_eta), select))
+    assert sc_sgd_step(0.3, -0.4, c, RngState(seed)) == want
+
+
+@pytest.mark.parametrize("seed", ORDER_SEEDS)
+def test_sc_momentum_step_draw_order_is_pinned(seed):
+    # gamma, v, eta, g, v_select, theta, v_new, theta_select, taken in turn
+    c = cfg(mode="momentum", eta=0.5, gamma=0.9, n_bit=64)
+    r = RngState(seed)
+    gamma, v, eta, g, v_select, theta = _by_hand(
+        [(c.gamma, Priori.BIPOLAR), (0.2, Priori.BIPOLAR), (c.eta, Priori.BIPOLAR),
+         (-0.4, Priori.BIPOLAR), (0.5, Priori.UNIPOLAR), (0.3, Priori.BIPOLAR)], r)
+    want_v = _doubled(scaled_add(xnor_mul(gamma, v), xnor_mul(eta, g), v_select))
+    v_new, theta_select = _by_hand([(want_v, Priori.BIPOLAR), (0.5, Priori.UNIPOLAR)], r)
+    want_theta = _doubled(scaled_add(theta, negate(v_new), theta_select))
+    assert sc_momentum_step(0.3, 0.2, -0.4, c, RngState(seed)) == (want_theta, want_v)
+
+
+@pytest.mark.parametrize("exec_mode", ["float", "binomial", "bitexact"])
+@pytest.mark.parametrize("mode", ["sgd", "momentum"])
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_update_tensor_empty_rejected(shape, mode, exec_mode):
+    c = cfg(mode=mode, n_bit=64, exec_mode=exec_mode)
+    velocity = np.zeros(shape) if mode == "momentum" else None
+    with pytest.raises(ValueError, match="at least one element"):
+        update_tensor(np.zeros(shape), np.zeros(shape), c, rng("empty"), velocity=velocity)
+
+
+UNIT = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("exec_mode", ["float", "binomial", "bitexact"])
+@pytest.mark.parametrize("mode", ["sgd", "momentum"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_update_clamp_boundary_property(mode, exec_mode, data):
+    # theta and v anywhere in [-1, 1], endpoints included, and any finite
+    # gradient, most of them far beyond the clip range: the SC modes keep
+    # theta and v in [-1, 1], and float is the exact rule on the clipped g
+    rows = data.draw(st.lists(
+        st.tuples(UNIT, UNIT, st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=4,
+    ))
+    theta, v, g = (np.array(col) for col in zip(*rows))
+    clip_lo, clip_hi = data.draw(st.sampled_from([(-1.0, 1.0), (-0.5, 0.75)]))
+    c = cfg(
+        mode=mode, exec_mode=exec_mode, clip_lo=clip_lo, clip_hi=clip_hi,
+        eta=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+        gamma=data.draw(st.floats(0.0, 1.0, exclude_max=True)),
+        n_bit=data.draw(st.integers(1, 64 if exec_mode == "bitexact" else 2**20)),
+    )
+    r = RngState(data.draw(st.integers(0, 2**32)), ("clamp",))
+    momentum = mode == "momentum"
+    new, new_v, _ = update_tensor(theta, g, c, r, velocity=v if momentum else None)
+    g_c = np.clip(g, clip_lo, clip_hi)
+    if exec_mode == "float":
+        want_v = c.gamma * v + c.eta * g_c
+        if momentum:
+            assert np.array_equal(new_v, want_v) and np.array_equal(new, theta - want_v)
+        else:
+            assert new_v is None and np.array_equal(new, theta - c.eta * g_c)
     else:
-        sc_momentum_step(0.0, 0.0, 0.1, c, rng("seeding-ref"))
-    assert len(made) == per_step
+        assert np.all(np.abs(new) <= 1.0)
+        assert not momentum or np.all(np.abs(new_v) <= 1.0)
 
 
 def test_update_tensor_out_of_range_params_rejected():

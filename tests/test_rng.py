@@ -1,4 +1,4 @@
-"""Substream seeding: the batch paths against numpy's SeedSequence, label checks."""
+"""Substream seeding: the batch path against numpy's SeedSequence, seed and label checks."""
 
 import numpy as np
 import pytest
@@ -23,18 +23,11 @@ def test_split_streams_are_pinned():
 @pytest.mark.parametrize("count", [0, 1, 2, 127, 128, 129, 1000])
 @pytest.mark.parametrize("seed, labels", [(0, ()), (31, ("pin", 16385)), (2**40 + 7, ("jitter", 3))])
 def test_generators_match_split(seed, labels, count):
-    # both batch entry points: generators' tile rows, and splits over
-    # suffixes of mixed int, float and str labels (the empty one included)
     root = RngState(seed, labels)
     gens = root.generators("tile", count)
-    suffixes = [((t,), (0.5 * t, "g"), ("v_new", -t, 1e-3), ())[t % 4] for t in range(count)]
-    children = root.splits(suffixes)
-    assert len(gens) == len(children) == count
-    assert [child.labels for child in children] == [labels + suffix for suffix in suffixes]
-    batch = [(("tile", t), gen) for t, gen in enumerate(gens)]
-    batch += [(suffix, child.generator) for suffix, child in zip(suffixes, children)]
-    for suffix, gen in batch:
-        ref = root.split(*suffix).generator
+    assert len(gens) == count
+    for t, gen in enumerate(gens):
+        ref = root.split("tile", t).generator
         assert gen.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(gen.random(3), ref.random(3))
         assert np.array_equal(gen.lognormal(0.0, 0.6, size=2), ref.lognormal(0.0, 0.6, size=2))
@@ -105,5 +98,16 @@ def test_non_builtin_labels_rejected(label):
         RngState(0).split("a", label)
     with pytest.raises(TypeError):
         RngState(0).generators(label, 2)
-    with pytest.raises(TypeError):
-        RngState(0).splits([("a",), ("b", label)])
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "3", None, np.float64(3.0)])
+def test_non_int_seeds_rejected(seed):
+    # int(1.5) and int(True) would alias RngState(1), and int("3") seed 3
+    with pytest.raises(ValueError, match="seed"):
+        RngState(seed)
+
+
+def test_numpy_int_seed_is_stored_as_int():
+    root = RngState(np.int64(3), ("a",))
+    assert type(root.seed) is int and root.seed == 3
+    assert root.generator.random() == RngState(3, ("a",)).generator.random()

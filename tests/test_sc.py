@@ -367,6 +367,15 @@ def test_lfsr_negative_count_rejected():
         LfsrState().words(-1)
 
 
+@pytest.mark.parametrize("count", [True, 2.0, 0.5, "2", None])
+def test_lfsr_non_int_count_rejected(count):
+    # a bool length would give a 1-bit stream, a float one fail inside numpy
+    with pytest.raises(ValueError, match="count"):
+        LfsrState().words(count)
+    with pytest.raises(ValueError, match="count"):
+        lfsr_stream(0.5, count, Priori.UNIPOLAR, LfsrState())
+
+
 def stepped_words(lfsr, count):
     return np.array([lfsr.step() for _ in range(count)], dtype=np.int64)
 

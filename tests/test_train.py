@@ -133,6 +133,14 @@ def test_train_protocol_rejects_bad_settings(bad):
         TrainProtocol(**bad)
 
 
+@pytest.mark.parametrize("seed", [2.9, 2.0, True, "2", None])
+def test_train_protocol_rejects_non_int_seed(seed):
+    # int(2.9) would train with seed 2
+    with pytest.raises(ValueError, match="seed"):
+        TrainProtocol(seed=seed)
+    assert TrainProtocol(seed=np.int64(2)).seed == 2
+
+
 def test_train_protocol_accepts_good_settings():
     for good in (dict(), dict(epochs=3, batch_size=1, eval_every=0),
                  dict(eval_every=None), dict(batch_size=np.int64(32), eval_every=5)):
