@@ -161,14 +161,12 @@ def generate_stream(
     of 20 streams of 16384 bits is 0.116 / 0.513 / 0.858 at target_p =
     0.1 / 0.5 / 0.9.
 
-    The bits are fixed by the per-tile draw order. Tile t draws from its
-    own substream ``rng.split("tile", t)``: first ``lognormal(cells)`` time
-    constant scales when jitter > 0, then ``random(cells)`` uniforms. The
-    first ceil(cells / 2) uniforms are the even-column phase, the rest the
-    odd-column phase, and bit i is 1 iff its uniform lies below its cell's
-    switching probability. All tiles' substreams are seeded in one pass by
-    ``rng.generators("tile", n_tiles)``, which gives the same bits as
-    opening each ``split("tile", t).generator`` in turn.
+    The bits are fixed by the per-tile draw order. Tile t draws from
+    ``rng.generators("tile", n_tiles)[t]``: first ``lognormal(cells)`` time
+    constant scales when jitter > 0, then ``random(cells)`` uniforms, one
+    per cell in column order. Bit i is 1 iff its uniform lies below its
+    cell's switching probability. The readout phases set only the power
+    model's multiplexing, not the order of the draws.
     """
     plan = plan_array(n_bit, 1, tile)  # validates n_bit
     n_tiles = plan.tiles_per_stream
@@ -177,14 +175,10 @@ def generate_stream(
     tau_scale = np.empty(n_bit) if jitter else None
     u = np.empty(n_bit)
     for t, gen in enumerate(rng.generators("tile", n_tiles)):
-        lo = t * tile.cols
-        cells = min(tile.cols, n_bit - lo)
+        lo, hi = t * tile.cols, min((t + 1) * tile.cols, n_bit)
         if jitter:
-            tau_scale[lo : lo + cells] = gen.lognormal(0.0, device.cell_jitter, size=cells)
-        draws = gen.random(cells)  # even-column phase first, then odd
-        even = (cells + 1) // 2
-        u[lo : lo + cells : 2] = draws[:even]
-        u[lo + 1 : lo + cells : 2] = draws[even:]
+            tau_scale[lo:hi] = gen.lognormal(0.0, device.cell_jitter, size=hi - lo)
+        gen.random(out=u[lo:hi])
     # In place: one more live n_bit-sized temporary makes glibc trim the heap
     # after each call, and the next call re-faults ~160 pages.
     t_cell = np.divide(width, tau_scale, out=tau_scale) if jitter else width

@@ -68,7 +68,7 @@ class DeviceParams:
     cell_jitter: float = 0.0
 
     def __post_init__(self):
-        for name in ("v0", "tau0", "v_prog"):
+        for name in ("v0", "tau0", "v_prog", "delta_t"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.cell_jitter >= 0:

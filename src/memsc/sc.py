@@ -59,6 +59,8 @@ class BitStream:
             raise ValueError("bit stream bits must be a 1-D bool array")
         if bits.size < 1:
             raise ValueError("bit stream length must be >= 1")
+        if not isinstance(self.priori, Priori):
+            raise ValueError(f"bit stream priori must be a Priori, got {self.priori!r}")
         if bits.base is not None:
             bits = bits.copy()
             object.__setattr__(self, "bits", bits)

@@ -7,6 +7,7 @@ calibrated powers 43.0 / 40.6 / 167 uW within 3%.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,24 +195,20 @@ def test_generate_stream_matches_encode_distribution():
 
 
 def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.BIPOLAR):
-    """The per-tile, per-phase loop that first defined generate_stream's bits."""
+    """A per-tile, per-cell loop that spells out generate_stream's bits."""
     width = pulse_width_for(target_p, device.v_prog, device)
     n_tiles = math.ceil(n_bit / tile.cols)
     bits = np.zeros(n_bit, dtype=bool)
-    for t in range(n_tiles):
+    for t, gen in enumerate(rng.generators("tile", n_tiles)):
         lo = t * tile.cols
         cells = min(tile.cols, n_bit - lo)
-        gen = rng.split("tile", t).generator
         if device.cell_jitter > 0:
             tau_scale = gen.lognormal(0.0, device.cell_jitter, size=cells)
             p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
         else:
             p_cell = np.full(cells, switch_probability(width, device.v_prog, device))
-        row = np.zeros(cells, dtype=bool)
-        for phase in range(2):
-            idx = np.arange(phase, cells, 2)
-            row[idx] = gen.random(idx.size) < p_cell[idx]
-        bits[lo : lo + cells] = row
+        for col in range(cells):
+            bits[lo + col] = gen.random() < p_cell[col]
     stream = BitStream(bits, priori)
     stats_ = GenerationStats(
         on_count=stream.popcount(), phases=2, tiles=n_tiles, pulse_width_s=width
@@ -230,3 +227,19 @@ def test_generate_stream_bits_match_reference_loop(jitter, n_bit, p):
     )
     assert stream.same_bits(ref)
     assert stats_ == ref_stats
+
+
+@pytest.mark.parametrize("jitter, limit", [(0.0, 2.0), (0.6, 4.5)])
+def test_generate_stream_temporaries_stay_few(jitter, limit):
+    # one more n_bit float64 temporary makes glibc trim the heap after each
+    # call, and the next call re-faults it. Peaks were 1.77x (u and the 128
+    # tile generators) and 4.05x (four buffers in the switching pass).
+    n_bit, device, tile = 16384, DeviceParams(cell_jitter=jitter), TileConfig()
+    generate_stream(0.41, n_bit, device, tile, RngState(5, ("warm",)))
+    tracemalloc.start()
+    try:
+        generate_stream(0.41, n_bit, device, tile, RngState(5, ("peak",)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 8 * n_bit

@@ -154,3 +154,10 @@ def test_invalid_params_rejected():
     for name in ("v0", "tau0", "v_prog", "cell_jitter"):
         with pytest.raises(ValueError, match=name):
             DeviceParams(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("delta_t", [-1.0, 0.0, float("nan")])
+def test_non_positive_delta_t_rejected(delta_t):
+    # delta_t = -1 made switching_time_density negative
+    with pytest.raises(ValueError, match="delta_t"):
+        DeviceParams(delta_t=delta_t)

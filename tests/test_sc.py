@@ -58,6 +58,20 @@ def test_bitstream_rejects_malformed_bits(bits):
         BitStream(bits, Priori.BIPOLAR)
 
 
+@pytest.mark.parametrize("priori", ["unipolar", "bipolar", None, 0])
+def test_bitstream_rejects_non_priori(priori):
+    # a string would fall through to the bipolar law: encode(0.5, "unipolar")
+    # drew at p = 0.75
+    with pytest.raises(ValueError, match="priori"):
+        BitStream(np.ones(4, dtype=bool), priori)
+    with pytest.raises(ValueError, match="priori"):
+        encode(0.5, 1000, priori, rng("priori"))
+    with pytest.raises(ValueError, match="priori"):
+        lfsr_stream(0.5, 16, priori, LfsrState())
+    with pytest.raises(ValueError, match="priori"):
+        generate_stream(0.5, 16, DeviceParams(), TileConfig(), rng("priori"), priori=priori)
+
+
 def test_bitstream_is_frozen():
     s = BitStream.ones(8, Priori.BIPOLAR)
     with pytest.raises(dataclasses.FrozenInstanceError):
