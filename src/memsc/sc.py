@@ -6,6 +6,13 @@ represent x in [0, 1], bipolar streams represent 2x - 1 in [-1, 1]. Bit
 order carries no value. Multiplication is a single XNOR per bit position
 of two bipolar streams; scaled addition is a per-position multiplexer.
 
+``encode`` is the comparator stream generator: an n-bit stream takes
+ceil(n/2) raw PCG64 outputs, splits each into two 32-bit halves (low half
+first, whatever the host's byte order) and sets bit i iff half-word i is
+below T = round(p * 2**32). p = 0 and p = 1 are exact; at any other p the
+bit probability is off by at most 2**-33, far below a stream's
+1/sqrt(n) noise.
+
 All operands of a multiply or add must come from independent substreams:
 correlated inputs silently corrupt products (xnor_mul(a, a) decodes to +1,
 not decode(a)**2).
@@ -96,9 +103,21 @@ def _priori_probability(value: float, priori: Priori) -> float:
 
 
 def encode(value: float, length: int, priori: Priori, rng: RngState) -> BitStream:
-    """Encode a value as independent Bernoulli draws at the priori's probability."""
-    p = _priori_probability(value, priori)
-    return BitStream(rng.generator.random(length) < p, priori)
+    """Encode a value as independent Bernoulli draws at the priori's probability.
+
+    A comparator against 32-bit random words: the stream takes ceil(n/2)
+    raw outputs of ``rng``'s PCG64 and splits each into its two 32-bit
+    halves, low half first on any host; bit i is 1 iff half-word i is
+    below T = round(p * 2**32). p = 0 and p = 1 give all zeros and all
+    ones exactly, and the bit probability T / 2**32 is within 2**-33 of p.
+    An odd n discards the last high half.
+    """
+    if not is_int(length) or length < 1:
+        raise ValueError(f"length must be an int >= 1, got {length!r}")
+    threshold = round(_priori_probability(value, priori) * (1 << 32))
+    words = rng.generator.bit_generator.random_raw((length + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    return BitStream(halves[:length] < threshold, priori)
 
 
 def decode(stream: BitStream) -> float:
@@ -158,16 +177,25 @@ DEFAULT_LFSR_TAPS = (16, 15, 13, 4)
 
 @dataclass
 class LfsrState:
-    """Fibonacci LFSR over ``width`` bits; taps are 1-indexed positions."""
+    """Fibonacci LFSR over ``width`` bits; taps are 1-indexed positions.
+
+    Width, register and every tap must be Python or numpy ints; they are
+    stored as Python ints.
+    """
 
     width: int = 16
     taps: tuple = DEFAULT_LFSR_TAPS
     register: int = 0xACE1
 
     def __post_init__(self):
+        fields = (self.width, self.register, *self.taps)
+        if not all(is_int(f) for f in fields):
+            raise ValueError(f"width, register and taps must be ints, got {self!r}")
+        # numpy uint64 fields would not mix with words()'s int64 shift arrays
+        self.width, self.register, *taps = (int(f) for f in fields)
+        self.taps = tuple(taps)
         if not 1 <= self.width <= 63:
             raise ValueError(f"width must lie in [1, 63] so words fit int64, got {self.width}")
-        self.taps = tuple(self.taps)
         mask = (1 << self.width) - 1
         self.register &= mask
         if self.register == 0:

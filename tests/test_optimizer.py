@@ -397,6 +397,23 @@ def test_bitexact_update_draws_from_one_stream(monkeypatch, mode):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("n_bit", [1, 129])
+@pytest.mark.parametrize("mode,streams", [("sgd", 4), ("momentum", 8)])
+def test_sc_step_draws_ceil_half_n_bit_outputs_per_stream(mode, streams, n_bit):
+    # each stream takes ceil(n_bit/2) PCG64 outputs, so the next output after
+    # a step is output R*ceil(n_bit/2) of a fresh stream with the same labels;
+    # the element-by-element update loop rests on this
+    c = cfg(mode=mode, n_bit=n_bit)
+    r = rng("draw-count", mode, n_bit)
+    if mode == "sgd":
+        sc_sgd_step(0.3, -0.4, c, r)
+    else:
+        sc_momentum_step(0.3, 0.2, -0.4, c, r)
+    used = streams * -(-n_bit // 2)
+    fresh = rng("draw-count", mode, n_bit).generator.bit_generator.random_raw(used + 1)
+    assert r.generator.bit_generator.random_raw() == fresh[used]
+
+
 def _by_hand(draws, r):
     """Encode (value, priori) pairs on ``r`` one after another, in the order given."""
     return [encode(value, 64, priori, r) for value, priori in draws]

@@ -18,6 +18,7 @@ from memsc.crossbar import TileConfig, generate_stream
 from memsc.device import DeviceParams
 from memsc.rng import RngState
 from memsc.sc import (
+    DEFAULT_LFSR_TAPS,
     BitStream,
     LfsrState,
     Priori,
@@ -177,11 +178,38 @@ def test_encode_decode_tolerance_grid():
     (0.9, Priori.BIPOLAR, 0.95),
 ])
 @pytest.mark.parametrize("n", [1, 13, 4096])
-def test_encode_bits_are_uniform_draws_below_p(value, priori, p, n):
-    # bit i is 1 iff the i-th uniform of a fresh substream with the same labels is below p
-    s = encode(value, n, priori, rng("pin", n))
+def test_encode_bits_are_32_bit_halves_below_threshold(value, priori, p, n):
+    # bit i is 1 iff 32-bit half-word i of a fresh substream with the same
+    # labels is below round(p * 2^32); each raw output gives its low half first
+    r = rng("pin", n)
+    s = encode(value, n, priori, r)
     assert s.priori is priori
-    assert np.array_equal(s.bits, rng("pin", n).generator.random(n) < p)
+    words = [int(w) for w in rng("pin", n).generator.bit_generator.random_raw(-(-n // 2))]
+    halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)][:n]
+    threshold = round(p * 2**32)
+    assert s.bits.tolist() == [h < threshold for h in halves]
+    # the stream used ceil(n/2) outputs: an odd n discards its last high half
+    fresh = rng("pin", n).generator.bit_generator.random_raw(-(-n // 2) + 1)
+    assert r.generator.bit_generator.random_raw() == fresh[-1]
+
+
+@pytest.mark.parametrize("n", [1, 13])
+def test_encode_probability_endpoints_are_exact(n):
+    for k in range(50):
+        assert encode(0.0, n, Priori.UNIPOLAR, rng("end", n, k)).popcount() == 0
+        assert encode(1.0, n, Priori.UNIPOLAR, rng("end", n, k)).popcount() == n
+        assert encode(-1.0, n, Priori.BIPOLAR, rng("end", n, k)).popcount() == 0
+        assert encode(1.0, n, Priori.BIPOLAR, rng("end", n, k)).popcount() == n
+
+
+@pytest.mark.parametrize("length", [0, -3, 2.5, 16.0, True, "16", None])
+def test_encode_non_positive_int_length_rejected(length):
+    with pytest.raises(ValueError, match="length"):
+        encode(0.5, length, Priori.UNIPOLAR, rng("len"))
+
+
+def test_encode_accepts_numpy_int_length():
+    assert len(encode(0.5, np.int64(13), Priori.UNIPOLAR, rng("len"))) == 13
 
 
 def test_determinism_same_seed_and_label():
@@ -374,6 +402,29 @@ def test_lfsr_zero_register_rejected():
 def test_lfsr_width_out_of_range_rejected(width):
     with pytest.raises(ValueError, match="width"):
         LfsrState(width=width, taps=(1,), register=1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"width": 16.5},
+    {"width": True, "taps": (1,), "register": 1},
+    {"register": 3.5},
+    {"register": True},
+    {"taps": (16, 15.0, 13, 4)},
+    {"taps": (16, "15", 13, 4)},
+])
+def test_lfsr_non_int_fields_rejected(fields):
+    # a float would fail later inside << or words(), and a bool width pass as 1
+    with pytest.raises(ValueError, match="must be ints"):
+        LfsrState(**fields)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint64])
+def test_lfsr_accepts_numpy_int_fields(dtype):
+    # fields are stored as ints: uint64 does not mix with words()'s int64 arrays
+    taps = tuple(np.array(DEFAULT_LFSR_TAPS, dtype=dtype))
+    lfsr, ref = LfsrState(dtype(16), taps, dtype(0xACE1)), LfsrState()
+    assert np.array_equal(lfsr.words(64), ref.words(64))
+    assert lfsr.step() == ref.step()
 
 
 def test_lfsr_negative_count_rejected():
