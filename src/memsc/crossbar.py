@@ -152,41 +152,37 @@ def generate_stream(
     one active row in each tile of ``plan_array(n_bit, 1, tile)``; cells
     are read out in its ``time_mux_steps`` column-sharing phases. Every
     cell's probability comes from ``switch_probability``. With
-    ``device.cell_jitter = 0`` the bits are i.i.d. Bernoulli(target_p): the
-    tiling and phasing add structure, not bias. With jitter, each call
-    redraws every cell's time constant, and a cell whose constant is scaled
-    by s switches under the width t as a nominal cell does under t / s. The
-    bits stay independent but their one-probability is the mean over the
-    jitter, pulled towards 0.5: at cell_jitter = 0.6 the mean on-fraction
-    of 20 streams of 16384 bits is 0.116 / 0.513 / 0.858 at target_p =
-    0.1 / 0.5 / 0.9.
+    ``device.cell_jitter = 0`` the bits are i.i.d. Bernoulli(target_p).
+    With jitter, each call redraws every cell's time constant, and a cell
+    whose constant is scaled by s switches under the width t as a nominal
+    cell does under t / s. The bits stay independent but their
+    one-probability is the mean over the jitter, pulled towards 0.5: at
+    cell_jitter = 0.6 the mean on-fraction of 20 streams of 16384 bits is
+    0.116 / 0.513 / 0.858 at target_p = 0.1 / 0.5 / 0.9.
 
-    The bits are fixed by the per-tile draw order. Tile t draws from
-    ``rng.generators("tile", n_tiles)[t]``: first ``lognormal(cells)`` time
-    constant scales when jitter > 0, then ``random(cells)`` uniforms, one
-    per cell in column order. Bit i is 1 iff its uniform lies below its
-    cell's switching probability. The readout phases set only the power
-    model's multiplexing, not the order of the draws.
+    The bits are fixed by one draw order from ``rng.generator``: first
+    ``lognormal(n_bit)`` time constant scales when jitter > 0, then
+    ``random(n_bit)`` uniforms, one per cell. Bit i is 1 iff its uniform
+    lies below its cell's switching probability. Every cell switches
+    independently, so the tiles and readout phases belong to the cost model
+    (``GenerationStats``, ``area_report``, ``power_report``) only.
     """
     plan = plan_array(n_bit, 1, tile)  # validates n_bit
-    n_tiles = plan.tiles_per_stream
     width = pulse_width_for(target_p, device.v_prog, device)  # validates target_p
-    jitter = device.cell_jitter > 0
-    tau_scale = np.empty(n_bit) if jitter else None
-    u = np.empty(n_bit)
-    for t, gen in enumerate(rng.generators("tile", n_tiles)):
-        lo, hi = t * tile.cols, min((t + 1) * tile.cols, n_bit)
-        if jitter:
-            tau_scale[lo:hi] = gen.lognormal(0.0, device.cell_jitter, size=hi - lo)
-        gen.random(out=u[lo:hi])
-    # In place: one more live n_bit-sized temporary makes glibc trim the heap
-    # after each call, and the next call re-faults ~160 pages.
-    t_cell = np.divide(width, tau_scale, out=tau_scale) if jitter else width
+    gen = rng.generator
+    if device.cell_jitter > 0:
+        tau_scale = gen.lognormal(0.0, device.cell_jitter, size=n_bit)
+        # In place: one more live n_bit-sized temporary makes glibc trim the
+        # heap after each call, and the next call re-faults ~160 pages.
+        t_cell = np.divide(width, tau_scale, out=tau_scale)
+    else:
+        t_cell = width
+    u = gen.random(n_bit)
     p_cell = switch_probability(t_cell, device.v_prog, device)
     stream = BitStream(u < p_cell, priori)
     stats = GenerationStats(
-        on_count=stream.popcount(), phases=plan.time_mux_steps, tiles=n_tiles,
-        pulse_width_s=width,
+        on_count=stream.popcount(), phases=plan.time_mux_steps,
+        tiles=plan.tiles_per_stream, pulse_width_s=width,
     )
     return stream, stats
 

@@ -69,14 +69,17 @@ class DeviceParams:
 
     def __post_init__(self):
         for name in ("v0", "tau0", "v_prog", "delta_t"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.cell_jitter >= 0:
-            raise ValueError("cell_jitter must be >= 0")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (self.cell_jitter >= 0 and math.isfinite(self.cell_jitter)):
+            raise ValueError(f"cell_jitter must be finite and >= 0, got {self.cell_jitter!r}")
 
     def tau_eff(self, v: float | None = None) -> float:
         """Effective switching time constant at voltage v (default v_prog)."""
         v = self.v_prog if v is None else v
+        if not math.isfinite(v):
+            raise ValueError(f"voltage must be finite, got {v!r}")
         return self.tau0 * math.exp(-v / self.v0)
 
 
@@ -86,8 +89,8 @@ def switch_probability(t, v: float, params: DeviceParams):
     Monotonically nondecreasing in both t and v. Accepts scalar or array t.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("pulse width must be >= 0")
+    if not np.all(t >= 0):
+        raise ValueError("pulse width must be >= 0 and not NaN")
     with np.errstate(over="ignore"):
         p = -np.expm1(t / -params.tau_eff(v))  # as -t / tau bit for bit, one pass fewer
     return float(p) if p.ndim == 0 else p
@@ -115,8 +118,8 @@ def sample_switch(t: float, v: float, params: DeviceParams, rng: RngState) -> in
 def switching_time_density(t, params: DeviceParams):
     """Reported switching-time histogram density (delta_t/tau) e^(-t/tau), tau = tau_eff()."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be >= 0")
+    if not np.all(t >= 0):
+        raise ValueError("time must be >= 0 and not NaN")
     tau = params.tau_eff()
     d = (params.delta_t / tau) * np.exp(-t / tau)
     return float(d) if d.ndim == 0 else d

@@ -195,23 +195,21 @@ def test_generate_stream_matches_encode_distribution():
 
 
 def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.BIPOLAR):
-    """A per-tile, per-cell loop that spells out generate_stream's bits."""
+    """A per-cell comparator loop that spells out generate_stream's bits."""
     width = pulse_width_for(target_p, device.v_prog, device)
-    n_tiles = math.ceil(n_bit / tile.cols)
+    gen = rng.generator
+    if device.cell_jitter > 0:
+        tau_scale = gen.lognormal(0.0, device.cell_jitter, size=n_bit)
+        p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
+    else:
+        p_cell = np.full(n_bit, switch_probability(width, device.v_prog, device))
     bits = np.zeros(n_bit, dtype=bool)
-    for t, gen in enumerate(rng.generators("tile", n_tiles)):
-        lo = t * tile.cols
-        cells = min(tile.cols, n_bit - lo)
-        if device.cell_jitter > 0:
-            tau_scale = gen.lognormal(0.0, device.cell_jitter, size=cells)
-            p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
-        else:
-            p_cell = np.full(cells, switch_probability(width, device.v_prog, device))
-        for col in range(cells):
-            bits[lo + col] = gen.random() < p_cell[col]
+    for cell in range(n_bit):
+        bits[cell] = gen.random() < p_cell[cell]
     stream = BitStream(bits, priori)
     stats_ = GenerationStats(
-        on_count=stream.popcount(), phases=2, tiles=n_tiles, pulse_width_s=width
+        on_count=stream.popcount(), phases=2, tiles=math.ceil(n_bit / tile.cols),
+        pulse_width_s=width,
     )
     return stream, stats_
 
@@ -221,19 +219,27 @@ def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.
 @pytest.mark.parametrize("p", [0.0, 0.41, 0.95])
 def test_generate_stream_bits_match_reference_loop(jitter, n_bit, p):
     device, tile = DeviceParams(cell_jitter=jitter), TileConfig()
-    stream, stats_ = generate_stream(p, n_bit, device, tile, RngState(31, ("pin", n_bit)))
+    rng = RngState(31, ("pin", n_bit))
+    stream, stats_ = generate_stream(p, n_bit, device, tile, rng)
     ref, ref_stats = reference_generate_stream(
         p, n_bit, device, tile, RngState(31, ("pin", n_bit))
     )
     assert stream.same_bits(ref)
     assert stats_ == ref_stats
+    # the call draws lognormal(n_bit) when jittered, then random(n_bit), and
+    # nothing more from the stream it is given
+    fresh = RngState(31, ("pin", n_bit)).generator
+    if jitter > 0:
+        fresh.lognormal(0.0, jitter, size=n_bit)
+    fresh.random(n_bit)
+    assert rng.generator.bit_generator.state == fresh.bit_generator.state
 
 
-@pytest.mark.parametrize("jitter, limit", [(0.0, 2.0), (0.6, 4.5)])
+@pytest.mark.parametrize("jitter, limit", [(0.0, 1.5), (0.6, 4.5)])
 def test_generate_stream_temporaries_stay_few(jitter, limit):
     # one more n_bit float64 temporary makes glibc trim the heap after each
-    # call, and the next call re-faults it. Peaks were 1.77x (u and the 128
-    # tile generators) and 4.05x (four buffers in the switching pass).
+    # call, and the next call re-faults it. Peaks read 1.14x (u and the bits)
+    # and 4.02x (four buffers in the switching pass).
     n_bit, device, tile = 16384, DeviceParams(cell_jitter=jitter), TileConfig()
     generate_stream(0.41, n_bit, device, tile, RngState(5, ("warm",)))
     tracemalloc.start()

