@@ -13,9 +13,12 @@ Power of one readout follows
 
 with E the mean on-cell probability of the array. Evaluated literally with
 the published constants this yields ~399 uW per gradient stream, not the
-published 43.0 uW; no bridging duty-cycle assumption is published. A single
-calibration scalar kappa (default 0.108) maps the raw value onto the
-published per-stream powers, and reports always carry both numbers.
+published 43.0 uW; no bridging duty-cycle assumption is published. One
+fixed calibration scalar, DEFAULT_KAPPA = 0.108, maps the raw value onto
+the published per-stream powers, and reports always carry both numbers.
+
+A plan carries the tile it was sized on, so ``power_report`` reads the
+geometry, the area constants and the cell powers from the plan alone.
 
 The paper puts its SC MAC (one XNOR and one MUX, 58 ps) at 1e5 times less
 area and 1e2 times less delay than a 16-bit binary MAC.
@@ -38,11 +41,9 @@ __all__ = [
     "TileConfig",
     "ArrayPlan",
     "GenerationStats",
-    "AreaReport",
     "CostReport",
     "plan_array",
     "generate_stream",
-    "area_report",
     "power_report",
     "DEFAULT_KAPPA",
 ]
@@ -75,13 +76,29 @@ class TileConfig:
 
 @dataclass(frozen=True)
 class ArrayPlan:
-    """Tile allocation for a bit-stream configuration."""
+    """Tiles for n_streams parallel streams of n_bit bits each, on one tile design.
+
+    One active row per tile bounds a stream's per-tile contribution to
+    ``tile.cols`` bits; the total is doubled for the reset ping-pong. The
+    tile counts derive from (n_bit, n_streams, tile), so they cannot
+    disagree with the tile that ``power_report`` reads.
+    """
 
     n_bit: int
     n_streams: int
-    tiles_per_stream: int
+    tile: TileConfig
     pingpong_factor: ClassVar[int] = 2  # reset tiles beside the generating ones
     time_mux_steps: ClassVar[int] = 2   # column-sharing sense phases
+
+    def __post_init__(self):
+        for name in ("n_bit", "n_streams"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+    @property
+    def tiles_per_stream(self) -> int:
+        return math.ceil(self.n_bit / self.tile.cols)
 
     @property
     def total_tiles(self) -> int:
@@ -99,20 +116,14 @@ class GenerationStats:
 
 
 @dataclass(frozen=True)
-class AreaReport:
-    """Silicon area of a plan, in mm^2."""
+class CostReport:
+    """Areas (mm^2) and powers (W); calibrated powers sit beside raw Eq.-style values."""
 
     rram_area_mm2: float
     xnor_area_mm2: float
     adder_register_area_mm2: float
     sense_amp_area_mm2: float
     total_area_mm2: float
-
-
-@dataclass(frozen=True)
-class CostReport(AreaReport):
-    """Areas and powers; calibrated powers sit beside raw Eq.-style values."""
-
     p_read_gradient_raw_w: float
     p_read_weight_raw_w: float
     p_read_gradient_w: float
@@ -125,17 +136,8 @@ class CostReport(AreaReport):
 
 
 def plan_array(n_bit: int, n_streams: int, tile: TileConfig | None = None) -> ArrayPlan:
-    """Tiles needed for n_streams parallel streams of n_bit bits each.
-
-    One active row per tile bounds a stream's per-tile contribution to
-    ``tile.cols`` bits; the total is doubled for the reset ping-pong.
-    """
-    tile = tile if tile is not None else TileConfig()
-    for name, value in (("n_bit", n_bit), ("n_streams", n_streams)):
-        if not is_int(value) or value < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-    tiles_per_stream = math.ceil(n_bit / tile.cols)
-    return ArrayPlan(n_bit=n_bit, n_streams=n_streams, tiles_per_stream=tiles_per_stream)
+    """The plan for n_streams streams of n_bit bits on ``tile`` (default ``TileConfig()``)."""
+    return ArrayPlan(n_bit, n_streams, tile if tile is not None else TileConfig())
 
 
 def generate_stream(
@@ -165,7 +167,7 @@ def generate_stream(
     ``random(n_bit)`` uniforms, one per cell. Bit i is 1 iff its uniform
     lies below its cell's switching probability. Every cell switches
     independently, so the tiles and readout phases belong to the cost model
-    (``GenerationStats``, ``area_report``, ``power_report``) only.
+    (``GenerationStats``, ``power_report``) only.
     """
     plan = plan_array(n_bit, 1, tile)  # validates n_bit
     width = pulse_width_for(target_p, device.v_prog, device)  # validates target_p
@@ -187,54 +189,35 @@ def generate_stream(
     return stream, stats
 
 
-def area_report(plan: ArrayPlan, tile: TileConfig | None = None) -> AreaReport:
-    """Silicon area of the plan: RRAM tiles plus the fixed peripheral blocks."""
-    tile = tile if tile is not None else TileConfig()
-    rram_mm2 = plan.total_tiles * tile.tile_area_um2 / 1e6
-    total = (
-        rram_mm2
-        + tile.xnor_total_area_mm2
-        + tile.adder_register_area_mm2
-        + tile.sense_amp_total_area_mm2
-    )
-    return AreaReport(
-        rram_area_mm2=rram_mm2,
-        xnor_area_mm2=tile.xnor_total_area_mm2,
-        adder_register_area_mm2=tile.adder_register_area_mm2,
-        sense_amp_area_mm2=tile.sense_amp_total_area_mm2,
-        total_area_mm2=total,
-    )
-
-
 def _p_read_raw(n_bit: int, e: float, tile: TileConfig) -> float:
     # One readout of an n_bit stream at mean on-cell probability e.
     return n_bit * (tile.p_on_w * e + tile.p_off_w * (1.0 - e))
 
 
-def power_report(
-    plan: ArrayPlan,
-    e_grad: float,
-    e_weight: float,
-    tile: TileConfig | None = None,
-    kappa: float = DEFAULT_KAPPA,
-) -> CostReport:
-    """Full cost report: areas plus calibrated and raw read powers.
+def power_report(plan: ArrayPlan, e_grad: float, e_weight: float) -> CostReport:
+    """Cost of the plan on its tile: areas plus calibrated and raw read powers.
 
-    Reported per-stream powers are kappa times the raw readout value; the
+    The area is the RRAM tiles plus the fixed peripheral blocks. Reported
+    per-stream powers are DEFAULT_KAPPA times the raw readout value; the
     total doubles their sum for the reset tiles, and time multiplexing
     halves the static-power ceiling.
     """
-    tile = tile if tile is not None else TileConfig()
     if not 0.0 <= e_grad <= 1.0 or not 0.0 <= e_weight <= 1.0:
         raise ValueError("expected on-cell probabilities must lie in [0, 1]")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
+    tile = plan.tile
+    areas = dict(  # summed in this order; the fixed blocks first move the total one ulp
+        rram_area_mm2=plan.total_tiles * tile.tile_area_um2 / 1e6,
+        xnor_area_mm2=tile.xnor_total_area_mm2,
+        adder_register_area_mm2=tile.adder_register_area_mm2,
+        sense_amp_area_mm2=tile.sense_amp_total_area_mm2,
+    )
     raw_grad = _p_read_raw(plan.n_bit, e_grad, tile)
     raw_weight = _p_read_raw(plan.n_bit, e_weight, tile)
-    p_grad, p_weight = kappa * raw_grad, kappa * raw_weight
+    p_grad, p_weight = DEFAULT_KAPPA * raw_grad, DEFAULT_KAPPA * raw_weight
     total = plan.pingpong_factor * (p_grad + p_weight)
     return CostReport(
-        **vars(area_report(plan, tile)),
+        **areas,
+        total_area_mm2=sum(areas.values()),
         p_read_gradient_raw_w=raw_grad,
         p_read_weight_raw_w=raw_weight,
         p_read_gradient_w=p_grad,
@@ -243,5 +226,5 @@ def power_report(
         static_power_cap_w=total / plan.time_mux_steps,
         e_grad_stat=e_grad,
         e_weight_stat=e_weight,
-        calibration_kappa=kappa,
+        calibration_kappa=DEFAULT_KAPPA,
     )

@@ -9,8 +9,8 @@ the pulse width that realizes a target switching probability, which is how
 bit streams are programmed in-memory. The time-to-switch follows the
 exponential law of the same time constant, tau = tau0 * exp(-V / V0),
 reported for a fabricated device at 4.5 V (tau = 0.38 ms) as the
-histogram density P(t) = (delta_t / tau) * exp(-t / tau) with bin
-constant delta_t = 0.5.
+histogram density P(t) = (DELTA_T / tau) * exp(-t / tau) with the fit's
+bin constant DELTA_T = 0.5.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "DeviceParams",
     "switch_probability",
     "pulse_width_for",
-    "sample_switch",
     "switching_time_density",
     "sample_switching_time",
 ]
@@ -37,6 +36,9 @@ DEFAULT_V0 = 0.4
 DEFAULT_V_PROG = 4.5
 DEFAULT_TAU = 0.38e-3
 DEFAULT_TAU0 = DEFAULT_TAU * math.exp(DEFAULT_V_PROG / DEFAULT_V0)
+# Histogram bin constant of the reported density fit; it scales the density
+# only, never sampling.
+DELTA_T = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,6 @@ class DeviceParams:
         Time fitting parameter (seconds).
     v_prog : float
         Applied programming voltage (volts).
-    delta_t : float
-        Histogram bin constant of the reported density fit; affects the
-        density normalization only, never sampling.
     cell_jitter : float
         Optional per-cell multiplicative lognormal jitter on tau_eff
         (sigma of log); 0 disables it. ``generate_stream`` redraws the
@@ -64,23 +63,34 @@ class DeviceParams:
     v0: float = DEFAULT_V0
     tau0: float = DEFAULT_TAU0
     v_prog: float = DEFAULT_V_PROG
-    delta_t: float = 0.5
     cell_jitter: float = 0.0
 
     def __post_init__(self):
-        for name in ("v0", "tau0", "v_prog", "delta_t"):
+        for name in ("v0", "tau0", "v_prog"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (self.cell_jitter >= 0 and math.isfinite(self.cell_jitter)):
             raise ValueError(f"cell_jitter must be finite and >= 0, got {self.cell_jitter!r}")
+        self.tau_eff()
 
     def tau_eff(self, v: float | None = None) -> float:
-        """Effective switching time constant at voltage v (default v_prog)."""
+        """Effective switching time constant at voltage v (default v_prog).
+
+        Raises ValueError unless tau0 * exp(-v / v0) is positive and finite.
+        """
         v = self.v_prog if v is None else v
         if not math.isfinite(v):
             raise ValueError(f"voltage must be finite, got {v!r}")
-        return self.tau0 * math.exp(-v / self.v0)
+        try:
+            scale = math.exp(-v / self.v0)
+        except OverflowError:
+            scale = math.inf
+        tau = self.tau0 * scale
+        if not (tau > 0 and math.isfinite(tau)):
+            raise ValueError(f"time constant tau0 * exp(-v / v0) at v = {v!r} is {tau!r}, "
+                             "not positive and finite")
+        return tau
 
 
 def switch_probability(t, v: float, params: DeviceParams):
@@ -109,19 +119,13 @@ def pulse_width_for(p: float, v: float, params: DeviceParams) -> float:
     return -params.tau_eff(v) * math.log1p(-p)
 
 
-def sample_switch(t: float, v: float, params: DeviceParams, rng: RngState) -> int:
-    """One Bernoulli switching event for a pulse of width t at voltage v."""
-    p = switch_probability(t, v, params)
-    return int(rng.generator.random() < p)
-
-
 def switching_time_density(t, params: DeviceParams):
-    """Reported switching-time histogram density (delta_t/tau) e^(-t/tau), tau = tau_eff()."""
+    """Reported switching-time histogram density (DELTA_T/tau) e^(-t/tau), tau = tau_eff()."""
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValueError("time must be >= 0 and not NaN")
     tau = params.tau_eff()
-    d = (params.delta_t / tau) * np.exp(-t / tau)
+    d = (DELTA_T / tau) * np.exp(-t / tau)
     return float(d) if d.ndim == 0 else d
 
 

@@ -17,9 +17,9 @@ from scipy import stats
 
 from memsc.crossbar import (
     DEFAULT_KAPPA,
+    ArrayPlan,
     GenerationStats,
     TileConfig,
-    area_report,
     generate_stream,
     plan_array,
     power_report,
@@ -52,6 +52,8 @@ def test_plan_validation():
         plan_array(1.5, 2)
     with pytest.raises(ValueError, match="n_streams"):
         plan_array(128, 2.0)
+    with pytest.raises(ValueError, match="n_bit"):
+        ArrayPlan(0, 2, TileConfig())
     with pytest.raises(ValueError, match="cols"):
         TileConfig(cols=128.0)
     for field in dataclasses.fields(TileConfig):
@@ -69,39 +71,62 @@ def test_plan_monotone_and_even(n, m):
     assert plan.total_tiles % 2 == 0
 
 
+def cost(plan, e_grad=0.5367, e_weight=0.5):
+    return power_report(plan, e_grad=e_grad, e_weight=e_weight)
+
+
 def test_area_published_figures():
-    report = area_report(plan_array(16384, 2))
+    report = cost(plan_array(16384, 2))
     assert report.rram_area_mm2 == pytest.approx(1.42, rel=0.01)
     assert report.total_area_mm2 == pytest.approx(1.55, rel=0.02)
 
 
 def test_area_two_tiles():
-    report = area_report(plan_array(128, 1))
+    report = cost(plan_array(128, 1))
     assert report.rram_area_mm2 == pytest.approx(2 * 2.77e3 / 1e6, rel=1e-12)
 
 
 def test_area_linear_in_tiles():
     tile = TileConfig()
-    r1 = area_report(plan_array(16384, 1), tile)
-    r2 = area_report(plan_array(16384, 2), tile)
+    r1 = cost(plan_array(16384, 1, tile))
+    r2 = cost(plan_array(16384, 2, tile))
     fixed = tile.xnor_total_area_mm2 + tile.adder_register_area_mm2 + tile.sense_amp_total_area_mm2
     assert r2.rram_area_mm2 == pytest.approx(2 * r1.rram_area_mm2)
     assert r1.total_area_mm2 - r1.rram_area_mm2 == pytest.approx(fixed)
+    assert r1.total_area_mm2 == (
+        r1.rram_area_mm2 + r1.xnor_area_mm2 + r1.adder_register_area_mm2 + r1.sense_amp_area_mm2
+    )
+
+
+def test_report_reads_the_tile_the_plan_was_sized_on():
+    # the report took the default tile unless it was passed a second time
+    tile = TileConfig(cols=64, tile_area_um2=1e3, p_on_w=90e-9, xnor_total_area_mm2=0.062)
+    plan = plan_array(16384, 2, tile)
+    assert plan.tile is tile and plan == ArrayPlan(16384, 2, tile)
+    assert plan_array(16384, 2).tile == TileConfig()
+    report = cost(plan)
+    assert (plan.tiles_per_stream, plan.total_tiles) == (256, 1024)
+    assert report.rram_area_mm2 == pytest.approx(1.024, rel=1e-12)
+    assert report.xnor_area_mm2 == 0.062
+    assert report.p_read_gradient_raw_w == pytest.approx(
+        16384 * (90e-9 * 0.5367 + 0.45e-9 * (1 - 0.5367)), rel=1e-12
+    )
 
 
 def test_power_raw_matches_literal_formula():
     # N_bit * [P_on*E + P_off*(1-E)] with the published constants: 399.1 uW
-    plan = plan_array(16384, 2)
-    report = power_report(plan, e_grad=0.5367, e_weight=0.5, kappa=1.0)
+    report = cost(plan_array(16384, 2))
     expected = 16384 * (45e-9 * 0.5367 + 0.45e-9 * (1 - 0.5367))
     assert report.p_read_gradient_raw_w == pytest.approx(expected, rel=1e-12)
     assert report.p_read_gradient_raw_w == pytest.approx(399.1e-6, rel=1e-3)
-    assert report.p_read_gradient_w == report.p_read_gradient_raw_w  # kappa = 1
+    # the calibrated powers are the fixed kappa times the raw ones
+    assert report.calibration_kappa == DEFAULT_KAPPA
+    assert report.p_read_gradient_w == DEFAULT_KAPPA * report.p_read_gradient_raw_w
+    assert report.p_read_weight_w == DEFAULT_KAPPA * report.p_read_weight_raw_w
 
 
 def test_power_calibrated_matches_published_figures():
-    plan = plan_array(16384, 2)
-    report = power_report(plan, e_grad=0.5367, e_weight=0.5, kappa=DEFAULT_KAPPA)
+    report = cost(plan_array(16384, 2))
     assert report.p_read_gradient_w == pytest.approx(43.0e-6, rel=0.03)
     assert report.p_read_weight_w == pytest.approx(40.6e-6, rel=0.03)
     assert report.total_power_w == pytest.approx(167e-6, rel=0.03)
@@ -109,22 +134,33 @@ def test_power_calibrated_matches_published_figures():
     # raw value always reported alongside
     assert report.p_read_gradient_raw_w == pytest.approx(399.1e-6, rel=1e-3)
     assert report.calibration_kappa == DEFAULT_KAPPA
-    # the area fields are the plan's area report, unchanged
-    area = area_report(plan)
-    for field in dataclasses.fields(area):
-        assert getattr(report, field.name) == getattr(area, field.name)
+
+
+def test_published_report_is_pinned_bit_for_bit():
+    # the published configuration's report, bit for bit: a reordered sum or a
+    # moved constant shows here first
+    report = cost(plan_array(16384, 2))
+    pinned = {
+        "rram_area_mm2": "0x1.6b11c6d1e108cp+0",
+        "total_area_mm2": "0x1.8ca8198f1d3ecp+0",
+        "p_read_gradient_raw_w": "0x1.a28058d7999d3p-12",
+        "p_read_weight_raw_w": "0x1.86699b620c32cp-12",
+        "p_read_gradient_w": "0x1.6995cdc89d4c7p-15",
+        "p_read_weight_w": "0x1.51510121835f1p-15",
+        "total_power_w": "0x1.5d7367751055cp-13",
+        "static_power_cap_w": "0x1.5d7367751055cp-14",
+    }
+    assert {name: getattr(report, name).hex() for name in pinned} == pinned
 
 
 def test_power_validation():
     plan = plan_array(16384, 2)
     with pytest.raises(ValueError):
-        power_report(plan, e_grad=1.2, e_weight=0.5)
+        cost(plan, e_grad=1.2)
     with pytest.raises(ValueError):
-        power_report(plan, e_grad=0.5, e_weight=0.5, kappa=0.0)
-    with pytest.raises(ValueError, match="kappa"):
-        power_report(plan, e_grad=0.5, e_weight=0.5, kappa=float("nan"))
+        cost(plan, e_weight=-0.1)
     with pytest.raises(ValueError):
-        power_report(plan, e_grad=float("nan"), e_weight=0.5)
+        cost(plan, e_grad=float("nan"))
 
 
 def test_plan_and_reports_are_frozen():
@@ -132,9 +168,9 @@ def test_plan_and_reports_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.n_bit = 128
     with pytest.raises(dataclasses.FrozenInstanceError):
-        area_report(plan).total_area_mm2 = 0.0
+        plan.tile = TileConfig(cols=64)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        power_report(plan, e_grad=0.5, e_weight=0.5).total_power_w = 0.0
+        cost(plan).total_area_mm2 = 0.0
     _, gen_stats = generate_stream(0.3, 256, DeviceParams(), TileConfig(), RngState(4))
     with pytest.raises(dataclasses.FrozenInstanceError):
         gen_stats.on_count = 0

@@ -2,7 +2,7 @@
 
 The half-switching pulse width and the density value at t = 0 are frozen
 from direct analytic evaluation of the switching law with the published
-fit constants (tau = 0.38 ms, delta_t = 0.5, V0 = 0.4 V, V = 4.5 V).
+fit constants (tau = 0.38 ms, DELTA_T = 0.5, V0 = 0.4 V, V = 4.5 V).
 """
 
 import math
@@ -16,7 +16,6 @@ from scipy import stats
 from memsc.device import (
     DeviceParams,
     pulse_width_for,
-    sample_switch,
     sample_switching_time,
     switch_probability,
     switching_time_density,
@@ -96,26 +95,9 @@ def test_monotonicity_grid():
     assert np.all(np.diff(ps) > 0)
 
 
-def test_sample_switch_statistics():
-    params = DeviceParams()
-    rng = RngState(42).split("switch")
-    t = pulse_width_for(0.3, params.v_prog, params)
-    n = 10**5
-    draws = sum(sample_switch(t, params.v_prog, params, rng) for _ in range(n))
-    # 4-sigma Bernoulli bound: 4*sqrt(0.3*0.7/1e5) ~ 0.0058
-    assert abs(draws / n - 0.3) <= 0.006
-
-
-def test_sample_switch_boundaries():
-    params = DeviceParams()
-    rng = RngState(1).split("b")
-    assert sample_switch(0.0, 4.5, params, rng) == 0
-    assert sample_switch(100 * params.tau_eff(), 4.5, params, rng) == 1
-
-
 def test_density_values():
     params = DeviceParams()
-    # (delta_t / tau) at t = 0: 0.5 / 0.38 ms ~ 1315.8 per second
+    # (DELTA_T / tau) at t = 0: 0.5 / 0.38 ms ~ 1315.8 per second
     assert switching_time_density(0.0, params) == pytest.approx(0.5 / 0.38e-3, rel=1e-12)
     d0 = switching_time_density(0.0, params)
     assert switching_time_density(params.tau_eff(), params) == pytest.approx(d0 * math.exp(-1))
@@ -156,7 +138,7 @@ def test_invalid_params_rejected():
             DeviceParams(**{name: float("nan")})
 
 
-@pytest.mark.parametrize("name", ["v0", "tau0", "v_prog", "delta_t", "cell_jitter"])
+@pytest.mark.parametrize("name", ["v0", "tau0", "v_prog", "cell_jitter"])
 def test_infinite_params_rejected(name):
     # cell_jitter = inf made generate_stream divide by zero; tau0 = inf gave
     # a cell that never switches
@@ -181,8 +163,25 @@ def test_nan_times_and_voltages_rejected():
             params.tau_eff(v)
 
 
-@pytest.mark.parametrize("delta_t", [-1.0, 0.0, float("nan")])
-def test_non_positive_delta_t_rejected(delta_t):
-    # delta_t = -1 made switching_time_density negative
-    with pytest.raises(ValueError, match="delta_t"):
-        DeviceParams(delta_t=delta_t)
+@pytest.mark.parametrize("v0", [1e-3, 1e-300])
+def test_underflowing_time_constant_rejected(v0):
+    # tau_eff() underflowed to 0.0: switch_probability divided by zero and
+    # pulse_width_for returned 0 for every p
+    with pytest.raises(ValueError, match="time constant"):
+        DeviceParams(v0=v0)
+
+
+def test_time_constant_at_a_voltage_must_be_positive_and_finite():
+    params = DeviceParams()
+    # exp(4.5 / 0.4) stays finite, exp(1000 / 0.4) overflows (OverflowError),
+    # and a large positive voltage underflows tau to 0.0
+    assert params.tau_eff(-4.5) > 0
+    for v in (-1000.0, 1000.0):
+        with pytest.raises(ValueError, match="time constant"):
+            params.tau_eff(v)
+        with pytest.raises(ValueError, match="time constant"):
+            switch_probability(1e-4, v, params)
+        with pytest.raises(ValueError, match="time constant"):
+            pulse_width_for(0.5, v, params)
+    with pytest.raises(ValueError, match="time constant"):
+        DeviceParams(v_prog=1000.0)

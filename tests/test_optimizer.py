@@ -2,7 +2,8 @@
 
 The scalar float and binomial updates are ``update_tensor`` on 0-d arrays;
 the bit-exact datapath ``sc_*_step`` is the independent reference that the
-binomial law is KS-tested against. ``update_tensor``'s bitexact mode is
+binomial law is KS-tested against, and at n_bit 16 its outputs are
+chi^2-tested against the exact binomial pmf. ``update_tensor``'s bitexact mode is
 ``sc_*_step`` looped over the tensor in flattened order on its one stream;
 the order in which a step draws its streams is pinned against the
 datapath composed by hand from ``encode``, ``xnor_mul`` and ``scaled_add``.
@@ -12,6 +13,7 @@ decode of a half-sum stream has sigma <= 2/sqrt(n_bit), so means over
 hundreds of repetitions sit well inside the 0.05 bands used here.
 """
 
+import collections
 import dataclasses
 import itertools
 
@@ -275,6 +277,77 @@ def test_mode_equivalence_sgd_clamp_corners(theta, g):
 @pytest.mark.parametrize("theta, v, g", [(1.0, 0.0, 0.0), (-1.0, 1.0, 1.0)])
 def test_mode_equivalence_momentum_clamp_corners(theta, v, g):
     assert ks_pvalue_momentum(theta, v, g) > 0.01
+
+
+# Exact law of a 16-bit step: each MUX output bit is Bernoulli(q), with q
+# composed from encode's thresholds round(p * 2**32) / 2**32, so the
+# popcount K is Binomial(16, q) and the output is clamp(4K/16 - 2). The 10 000
+# draws of a point come one after another from one stream, as in a tensor.
+PMF_N_BIT, PMF_DRAWS, PMF_ALPHA = 16, 10_000, 0.001
+
+
+def _p_encoded(value):
+    """One-probability of encode(value) as a bipolar stream."""
+    return round((value + 1.0) / 2.0 * 2**32) / 2**32
+
+
+def _p_xnor(a, b):
+    return a * b + (1.0 - a) * (1.0 - b)
+
+
+def _mux_law(q):
+    """{doubled output: probability} of a 16-bit half-sum at one-probability q.
+
+    The clamped popcounts merge into the outputs -1 and +1.
+    """
+    k = np.arange(PMF_N_BIT + 1)
+    law = {}
+    for x, p in zip(np.clip(2.0 * (2 * k - PMF_N_BIT) / PMF_N_BIT, -1.0, 1.0),
+                    stats.binom.pmf(k, PMF_N_BIT, q)):
+        law[float(x)] = law.get(float(x), 0.0) + p
+    return law
+
+
+def _chi2_pvalue(draws, law):
+    """chi^2 of the draws' cell counts against the law; cells expecting < 5 are pooled."""
+    counts = collections.Counter(draws)
+    assert set(counts) <= {cell for cell, p in law.items() if p > 0}
+    cells = sorted(law)
+    probs = np.array([law[c] for c in cells])
+    expected = probs / probs.sum() * len(draws)
+    observed = np.array([counts[c] for c in cells])
+    small = expected < 5
+    if small.any():
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+    return stats.chisquare(observed, expected).pvalue
+
+
+@pytest.mark.parametrize("theta, g, eta", [(0.3, -0.4, 0.5), (0.9, 0.8, 0.1), (-0.2, 1.0, 1.0)])
+def test_sc_sgd_step_has_the_exact_binomial_law(theta, g, eta):
+    c = cfg(eta=eta, n_bit=PMF_N_BIT)
+    r = rng("pmf", "sgd", theta, g, eta)
+    draws = [sc_sgd_step(theta, g, c, r) for _ in range(PMF_DRAWS)]
+    # MUX of theta and the -eta * g product, select probability 1/2
+    q = 0.5 * _p_encoded(theta) + 0.5 * _p_xnor(_p_encoded(g), _p_encoded(-eta))
+    assert _chi2_pvalue(draws, _mux_law(q)) > PMF_ALPHA
+
+
+def test_sc_momentum_step_has_the_exact_joint_binomial_law():
+    theta, v, g, eta, gamma = 0.2, 0.1, 0.3, 0.5, 0.9
+    c = cfg(mode="momentum", eta=eta, gamma=gamma, n_bit=PMF_N_BIT)
+    r = rng("pmf", "momentum")
+    draws = [sc_momentum_step(theta, v, g, c, r) for _ in range(PMF_DRAWS)]
+    # v' = MUX(gamma * v, eta * g); theta' = MUX(theta, -v') given the drawn v'
+    q_v = 0.5 * _p_xnor(_p_encoded(gamma), _p_encoded(v)) + 0.5 * _p_xnor(
+        _p_encoded(eta), _p_encoded(g))
+    law = {
+        (theta_new, v_new): p_v * p_theta
+        for v_new, p_v in _mux_law(q_v).items()
+        for theta_new, p_theta in _mux_law(
+            0.5 * _p_encoded(theta) + 0.5 * (1.0 - _p_encoded(v_new))).items()
+    }
+    assert _chi2_pvalue(draws, law) > PMF_ALPHA
 
 
 # ---------------------------------------------------------------------------

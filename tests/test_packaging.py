@@ -1,6 +1,7 @@
-"""Every console entry point and every ``__all__`` name must resolve, the
-package imports nothing beyond the standard library and numpy, and its
-dataclasses are frozen values."""
+"""Every console entry point and every ``__all__`` name must resolve, every
+``__all__`` name is read by the package or the benchmark unless it is a test
+oracle, the package imports nothing beyond the standard library and numpy,
+and its dataclasses are frozen values."""
 
 import ast
 import dataclasses
@@ -13,7 +14,11 @@ import pytest
 
 import memsc
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+# Public only so that tests can check against them: the paper's fitted
+# switching-time law, the one way real MNIST enters, and the LFSR period.
+TEST_ORACLES = {"switching_time_density", "sample_switching_time", "load_idx", "lfsr_period"}
 
 
 def test_entry_points_resolve():
@@ -41,6 +46,21 @@ def test_module_exports_resolve():
     assert exported
     missing = [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)]
     assert not missing, missing
+
+
+def test_exports_are_read_outside_tests():
+    # a public name only tests read is dead code unless it is an oracle
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    exported = {f"{m.__name__}.{name}": name
+                for m in _modules() for name in getattr(m, "__all__", ())}
+    unread = sorted(full for full, name in exported.items() if name not in read)
+    assert {exported[full] for full in unread} == TEST_ORACLES, unread
 
 
 def test_runtime_imports_are_stdlib_numpy_or_memsc():
