@@ -64,14 +64,14 @@ class TileConfig:
     sense_amp_total_area_mm2: float = 0.0267
 
     def __post_init__(self):
-        if not is_int(self.cols):
-            raise ValueError(f"cols must be an int, got {self.cols!r}")
+        if not is_int(self.cols) or self.cols < 1:
+            raise ValueError(f"cols must be an int >= 1, got {self.cols!r}")
         for name in (
-            "cols", "tile_area_um2", "p_on_w", "p_off_w", "xnor_total_area_mm2",
+            "tile_area_um2", "p_on_w", "p_off_w", "xnor_total_area_mm2",
             "adder_register_area_mm2", "sense_amp_total_area_mm2",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

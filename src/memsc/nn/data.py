@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import is_int
+
 __all__ = ["Dataset", "load_idx", "synthetic_dataset", "IMAGE_MAGIC", "LABEL_MAGIC"]
 
 IMAGE_MAGIC = 0x00000803
@@ -38,9 +40,9 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, n: int) -> "Dataset":
-        """First n examples (n = 0 means the full set)."""
-        if n <= 0 or n >= len(self):
-            return self
+        """The first min(n, len(self)) examples; n must be an int >= 0."""
+        if not is_int(n) or n < 0:
+            raise ValueError(f"n must be an int >= 0, got {n!r}")
         return Dataset(self.images[:n], self.labels[:n])
 
 

@@ -28,11 +28,10 @@ __all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
 
 
 def _uniform_init(shape, fan_in, rng: RngState, dtype):
-    # uniform in [-s, s] with s = sqrt(1/fan_in), clamped to the bipolar
-    # storage range (a no-op at these scales, kept for the contract)
+    # uniform in [-s, s] with s = sqrt(1/fan_in) <= 1, so inside the
+    # bipolar storage range [-1, 1]
     s = np.sqrt(1.0 / fan_in)
-    w = rng.generator.uniform(-s, s, size=shape)
-    return np.clip(w, -1.0, 1.0).astype(dtype)
+    return rng.generator.uniform(-s, s, size=shape).astype(dtype)
 
 
 class Conv2d:
@@ -99,10 +98,11 @@ class BatchNorm:
     and t = beta - running_mean*s.
     """
 
-    def __init__(self, name, channels, dtype=np.float32, momentum=0.1, eps=1e-5):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, name, channels, dtype=np.float32):
         self.name = name
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)

@@ -1,11 +1,11 @@
 """Mini-batch training loop routing every trainable tensor through the
 configured update path, with per-minibatch metrics logging.
 
-Batches are drawn from a seeded per-epoch shuffle; the trailing partial
-batch is dropped (one epoch of the 60k corpus at batch 256 is exactly 234
-mini-batches). Each tensor's update draws from a substream labelled
-(tensor name, global step), so results are reproducible regardless of
-update order.
+Batches come from a seeded per-epoch shuffle, and only full batches
+train: the trailing partial batch is dropped (the 60k corpus at batch 256
+gives exactly 234) and a set smaller than one batch is rejected. Each
+tensor's update draws from a substream labelled (tensor name, global
+step), so results are reproducible regardless of update order.
 """
 
 from __future__ import annotations
@@ -82,10 +82,7 @@ class MetricsLog:
 
 
 def _batches(order: np.ndarray, batch_size: int):
-    n = order.size
-    if n <= batch_size:
-        return order[None, :]
-    nb = n // batch_size  # drop the trailing partial batch
+    nb = order.size // batch_size  # drop the trailing partial batch
     return order[: nb * batch_size].reshape(nb, batch_size)
 
 
@@ -122,8 +119,9 @@ def train(
     protocol: TrainProtocol,
 ) -> MetricsLog:
     """Train in place and return the per-minibatch metrics log."""
-    if len(train_set) == 0:
-        raise ValueError("training set is empty")
+    if len(train_set) < protocol.batch_size:
+        raise ValueError(f"training set holds {len(train_set)} examples, "
+                         f"fewer than one batch of {protocol.batch_size}")
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     root = RngState(protocol.seed)

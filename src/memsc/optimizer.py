@@ -1,11 +1,11 @@
 """Stochastic-domain SGD and momentum parameter updates over bit streams.
 
-The update datapath encodes the clipped gradient, the negated learning
-rate, and the current parameter as independent bipolar streams; an XNOR
-forms the -eta*g product and a 0.5-select multiplexer adds it to the
-parameter. Scaled addition halves the sum, so the decoded result is
-doubled and clamped back to [-1, 1]. In expectation the update equals the
-exact rule theta - eta*g whenever no clamp binds.
+The update datapath encodes the gradient clipped to the bipolar range
+[-1, 1], the negated learning rate and the current parameter as
+independent bipolar streams; an XNOR forms the -eta*g product and a
+0.5-select multiplexer adds it to the parameter. Scaled addition halves
+the sum, so the decoded result is doubled and clamped back to [-1, 1];
+in expectation the update is theta - eta*g whenever no clamp binds.
 
 ``update_tensor`` is the one update kernel; called on 0-d arrays it is the
 scalar update. It writes each rule once on exact values (SGD theta - eta*g;
@@ -30,6 +30,7 @@ seeded substreams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,9 +58,10 @@ class OptimizerConfig:
     eta: float = 0.5
     gamma: float = 0.9
     n_bit: int = 16384
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
     exec_mode: str = "binomial"
+    # the bipolar range: gradients and doubled MUX outputs saturate to it
+    clip_lo: ClassVar[float] = -1.0
+    clip_hi: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -72,21 +74,19 @@ class OptimizerConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if not is_int(self.n_bit) or self.n_bit < 1:
             raise ValueError(f"n_bit must be an int >= 1, got {self.n_bit!r}")
-        if not -1.0 <= self.clip_lo < self.clip_hi <= 1.0:
-            raise ValueError("clip bounds must satisfy -1 <= clip_lo < clip_hi <= 1")
-
-
-def clip_gradient(g, cfg: OptimizerConfig):
-    """Clip a gradient (scalar or array) to [clip_lo, clip_hi]."""
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient contains non-finite values")
-    clipped = np.clip(g, cfg.clip_lo, cfg.clip_hi)
-    return float(clipped) if clipped.ndim == 0 else clipped
 
 
 def _clamp_unit(x):
-    return np.clip(x, -1.0, 1.0)
+    return np.clip(x, OptimizerConfig.clip_lo, OptimizerConfig.clip_hi)
+
+
+def clip_gradient(g):
+    """Clip a gradient (scalar or array) to the bipolar range [-1, 1]."""
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient contains non-finite values")
+    clipped = _clamp_unit(g)
+    return float(clipped) if clipped.ndim == 0 else clipped
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def sc_sgd_step(theta: float, g: float, cfg: OptimizerConfig, rng: RngState) -> 
 
     Its streams are drawn in turn from ``rng``: g, -eta, theta, select.
     """
-    product = xnor_mul(_bipolar(clip_gradient(g, cfg), cfg, rng), _bipolar(-cfg.eta, cfg, rng))
+    product = xnor_mul(_bipolar(clip_gradient(g), cfg, rng), _bipolar(-cfg.eta, cfg, rng))
     return _doubled(scaled_add(_bipolar(theta, cfg, rng), product, _select(cfg, rng)))
 
 
@@ -125,7 +125,7 @@ def sc_momentum_step(
     between its two uses; keeping it stream-resident across steps would
     correlate successive updates.
     """
-    g_c = clip_gradient(g, cfg)
+    g_c = clip_gradient(g)
     v_new = _doubled(scaled_add(
         xnor_mul(_bipolar(cfg.gamma, cfg, rng), _bipolar(velocity, cfg, rng)),
         xnor_mul(_bipolar(cfg.eta, cfg, rng), _bipolar(g_c, cfg, rng)),
@@ -176,7 +176,7 @@ def update_tensor(
         raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
     if params.size == 0:
         raise ValueError("params must hold at least one element")
-    g_c = np.asarray(clip_gradient(grads, cfg), dtype=float)
+    g_c = np.asarray(clip_gradient(grads), dtype=float)
     e_grad_stat = float(np.mean((g_c + 1.0) / 2.0))
 
     if cfg.mode == "momentum":

@@ -261,15 +261,15 @@ def lfsr_stream(value: float, length: int, priori: Priori, lfsr: LfsrState) -> B
     return BitStream(lfsr.words(length) < threshold, priori)
 
 
-def lfsr_period(lfsr: LfsrState, limit: int | None = None) -> int:
+def lfsr_period(lfsr: LfsrState) -> int:
     """Number of steps until the register state recurs (full period check).
 
-    Maximal-length taps return 2**width - 1. Runs at most ``limit`` steps
-    (default 2**width) and returns the step count reached if no recurrence.
+    Maximal-length taps return 2**width - 1. Runs at most 2**width steps
+    and returns 2**width if the start state never recurs.
     """
     probe = LfsrState(lfsr.width, lfsr.taps, lfsr.register)
     start = probe.register
-    limit = limit if limit is not None else (1 << lfsr.width)
+    limit = 1 << lfsr.width
     for n in range(1, limit + 1):
         probe.step()
         if probe.register == start:

@@ -56,10 +56,12 @@ def test_plan_validation():
         ArrayPlan(0, 2, TileConfig())
     with pytest.raises(ValueError, match="cols"):
         TileConfig(cols=128.0)
+    # an infinite power or area would make power_report's totals infinite
     for field in dataclasses.fields(TileConfig):
         if field.name != "cols":
-            with pytest.raises(ValueError, match=field.name):
-                TileConfig(**{field.name: float("nan")})
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=field.name):
+                    TileConfig(**{field.name: bad})
 
 
 @settings(max_examples=200, deadline=None)

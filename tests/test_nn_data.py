@@ -67,8 +67,13 @@ def test_dataset_label_range():
 def test_dataset_subset():
     ds = synthetic_dataset(50, seed=1)
     assert len(ds.subset(10)) == 10
-    assert len(ds.subset(0)) == 50
+    assert len(ds.subset(np.int64(10))) == 10
+    assert len(ds.subset(0)) == 0
     assert len(ds.subset(500)) == 50
+    assert np.array_equal(ds.subset(10).labels, ds.labels[:10])
+    for bad in (-1, 2.5, True, 10.0, None):
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            ds.subset(bad)
 
 
 def test_synthetic_dataset_deterministic():

@@ -303,6 +303,15 @@ def test_table1_intermediate_shapes():
     assert x.shape == (2, 10)
 
 
+@pytest.mark.parametrize("build", [table1_network, reduced_network])
+def test_initial_weights_lie_in_bipolar_range(build):
+    # init draws from [-s, s] with s = sqrt(1/fan_in) <= 1, so every weight
+    # starts inside the range a bipolar stream can carry
+    for seed in range(5):
+        for name, p in build(RngState(seed)).params().items():
+            assert np.all(np.abs(p) <= 1.0), (seed, name)
+
+
 def test_conv_pool_size_arithmetic():
     # stride-1 5x5 conv: out = in - 4; 2x2/2 pool halves spatial dims
     net = table1_network(RngState(1))

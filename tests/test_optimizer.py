@@ -57,12 +57,11 @@ def step0d(theta, g, c, r, velocity=None):
 # ---------------------------------------------------------------------------
 
 def test_clip_gradient():
-    c = cfg()
-    assert clip_gradient(0.3, c) == 0.3
-    assert clip_gradient(5.0, c) == 1.0
-    assert clip_gradient(-2.0, c) == -1.0
+    assert clip_gradient(0.3) == 0.3
+    assert clip_gradient(5.0) == 1.0
+    assert clip_gradient(-2.0) == -1.0
     with pytest.raises(ValueError):
-        clip_gradient(float("nan"), c)
+        clip_gradient(float("nan"))
 
 
 def test_float_sgd_step():
@@ -88,13 +87,17 @@ def test_config_validation():
         cfg(mode="adam")
     with pytest.raises(ValueError):
         cfg(exec_mode="quantum")
-    for clip in (dict(clip_lo=1.0, clip_hi=-1.0), dict(clip_lo=-2.0), dict(clip_hi=1.5)):
-        with pytest.raises(ValueError):
+    # the clip range is the bipolar range a stream can carry, not a setting
+    assert (OptimizerConfig.clip_lo, OptimizerConfig.clip_hi) == (-1.0, 1.0)
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == [
+        "mode", "eta", "gamma", "n_bit", "exec_mode"]
+    for clip in (dict(clip_lo=-0.5), dict(clip_hi=0.75)):
+        with pytest.raises(TypeError):
             cfg(**clip)
     for bad_n_bit in (1.5, 16384.0, True):
         with pytest.raises(ValueError, match="n_bit"):
             cfg(n_bit=bad_n_bit)
-    for name in ("eta", "gamma", "clip_lo", "clip_hi"):
+    for name in ("eta", "gamma"):
         with pytest.raises(ValueError):
             cfg(**{name: float("nan")})
 
@@ -423,8 +426,7 @@ def test_update_tensor_bitexact_matches_per_element_steps(mode, n_bit):
     # every (theta, v) clamp corner, each with gradients beyond both clip bounds
     grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [-3.0, 0.2, 2.5])))
     theta, v, g = (grid[:, k].reshape(9, 3) for k in range(3))
-    c = cfg(mode=mode, eta=0.5, gamma=0.6, n_bit=n_bit, clip_lo=-0.5, clip_hi=0.75,
-            exec_mode="bitexact")
+    c = cfg(mode=mode, eta=0.5, gamma=0.6, n_bit=n_bit, exec_mode="bitexact")
     root = rng("per-element", mode, n_bit)
     new_theta, new_v, _ = update_tensor(theta, g, c, root,
                                         velocity=v if mode == "momentum" else None)
@@ -551,9 +553,8 @@ def test_update_clamp_boundary_property(mode, exec_mode, data):
         min_size=1, max_size=4,
     ))
     theta, v, g = (np.array(col) for col in zip(*rows))
-    clip_lo, clip_hi = data.draw(st.sampled_from([(-1.0, 1.0), (-0.5, 0.75)]))
     c = cfg(
-        mode=mode, exec_mode=exec_mode, clip_lo=clip_lo, clip_hi=clip_hi,
+        mode=mode, exec_mode=exec_mode,
         eta=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
         gamma=data.draw(st.floats(0.0, 1.0, exclude_max=True)),
         n_bit=data.draw(st.integers(1, 64 if exec_mode == "bitexact" else 2**20)),
@@ -561,7 +562,7 @@ def test_update_clamp_boundary_property(mode, exec_mode, data):
     r = RngState(data.draw(st.integers(0, 2**32)), ("clamp",))
     momentum = mode == "momentum"
     new, new_v, _ = update_tensor(theta, g, c, r, velocity=v if momentum else None)
-    g_c = np.clip(g, clip_lo, clip_hi)
+    g_c = np.clip(g, -1.0, 1.0)
     if exec_mode == "float":
         want_v = c.gamma * v + c.eta * g_c
         if momentum:

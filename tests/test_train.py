@@ -188,10 +188,19 @@ def test_minibatch_indices_contiguous(blobs):
 def test_empty_dataset_rejected(blobs):
     _, test_set = blobs
     empty = synthetic_dataset(1, seed=0).subset(0)
-    empty = dataclasses.replace(empty, images=empty.images[:0], labels=empty.labels[:0])
     net = table1_network(RngState(9))
     with pytest.raises(ValueError):
         train(net, empty, test_set, OptimizerConfig(exec_mode="float"), TrainProtocol())
+
+
+@pytest.mark.parametrize("n, batch_size", [(127, 128), (1, 2)])
+def test_training_set_smaller_than_one_batch_rejected(blobs, n, batch_size):
+    # only full batches train, so a set below one batch would train nothing
+    train_set, test_set = blobs
+    net = table1_network(RngState(9))
+    with pytest.raises(ValueError, match=f"holds {n} examples, fewer than one batch"):
+        train(net, train_set.subset(n), test_set.subset(32), OptimizerConfig(exec_mode="float"),
+              TrainProtocol(batch_size=batch_size))
 
 
 def test_empty_test_set_rejected(blobs):
@@ -202,7 +211,7 @@ def test_empty_test_set_rejected(blobs):
         evaluate(net, empty)
     with pytest.raises(ValueError, match="test set is empty"):
         train(net, train_set.subset(128), empty, OptimizerConfig(exec_mode="float"),
-              TrainProtocol())
+              TrainProtocol(batch_size=128))
 
 
 def test_evaluate_constant_predictor():
