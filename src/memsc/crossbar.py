@@ -170,7 +170,7 @@ def generate_stream(
     (``GenerationStats``, ``power_report``) only.
     """
     plan = plan_array(n_bit, 1, tile)  # validates n_bit
-    width = pulse_width_for(target_p, device.v_prog, device)  # validates target_p
+    width = pulse_width_for(target_p, device)  # validates target_p
     gen = rng.generator
     if device.cell_jitter > 0:
         tau_scale = gen.lognormal(0.0, device.cell_jitter, size=n_bit)
@@ -180,7 +180,7 @@ def generate_stream(
     else:
         t_cell = width
     u = gen.random(n_bit)
-    p_cell = switch_probability(t_cell, device.v_prog, device)
+    p_cell = switch_probability(t_cell, device)
     stream = BitStream(u < p_cell, priori)
     stats = GenerationStats(
         on_count=stream.popcount(), phases=plan.time_mux_steps,

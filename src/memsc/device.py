@@ -4,7 +4,9 @@ A device under a programming pulse of width t at voltage V turns on with
 
     P(t, V) = 1 - exp(-t * exp(V / V0) / tau0),
 
-where V0 and tau0 are fitting parameters. Inverting the expression gives
+where V0 and tau0 are fitting parameters and V is ``DeviceParams.v_prog``;
+the law at another voltage is the law of
+``dataclasses.replace(params, v_prog=V)``. Inverting the expression gives
 the pulse width that realizes a target switching probability, which is how
 bit streams are programmed in-memory. The time-to-switch follows the
 exponential law of the same time constant, tau = tau0 * exp(-V / V0),
@@ -72,42 +74,29 @@ class DeviceParams:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (self.cell_jitter >= 0 and math.isfinite(self.cell_jitter)):
             raise ValueError(f"cell_jitter must be finite and >= 0, got {self.cell_jitter!r}")
-        self.tau_eff()
+        if not self.tau_eff() > 0:  # v_prog / v0 > 0: exp can underflow, never overflow
+            raise ValueError(f"time constant tau0 * exp(-v_prog / v0) underflows to 0 in {self!r}")
 
-    def tau_eff(self, v: float | None = None) -> float:
-        """Effective switching time constant at voltage v (default v_prog).
-
-        Raises ValueError unless tau0 * exp(-v / v0) is positive and finite.
-        """
-        v = self.v_prog if v is None else v
-        if not math.isfinite(v):
-            raise ValueError(f"voltage must be finite, got {v!r}")
-        try:
-            scale = math.exp(-v / self.v0)
-        except OverflowError:
-            scale = math.inf
-        tau = self.tau0 * scale
-        if not (tau > 0 and math.isfinite(tau)):
-            raise ValueError(f"time constant tau0 * exp(-v / v0) at v = {v!r} is {tau!r}, "
-                             "not positive and finite")
-        return tau
+    def tau_eff(self) -> float:
+        """Effective switching time constant tau0 * exp(-v_prog / v0)."""
+        return self.tau0 * math.exp(-self.v_prog / self.v0)
 
 
-def switch_probability(t, v: float, params: DeviceParams):
-    """Probability that a pulse of width t at voltage v switches the cell.
+def switch_probability(t, params: DeviceParams):
+    """Probability that a pulse of width t at ``params.v_prog`` switches the cell.
 
-    Monotonically nondecreasing in both t and v. Accepts scalar or array t.
+    Monotonically nondecreasing in t and in v_prog. Accepts scalar or array t.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValueError("pulse width must be >= 0 and not NaN")
     with np.errstate(over="ignore"):
-        p = -np.expm1(t / -params.tau_eff(v))  # as -t / tau bit for bit, one pass fewer
+        p = -np.expm1(t / -params.tau_eff())  # as -t / tau bit for bit, one pass fewer
     return float(p) if p.ndim == 0 else p
 
 
-def pulse_width_for(p: float, v: float, params: DeviceParams) -> float:
-    """Pulse width realizing switching probability p at voltage v.
+def pulse_width_for(p: float, params: DeviceParams) -> float:
+    """Pulse width realizing switching probability p at ``params.v_prog``.
 
     Exact inverse of :func:`switch_probability`; the round trip holds to
     ~1e-16 relative. p = 1 is unreachable in finite time.
@@ -116,7 +105,7 @@ def pulse_width_for(p: float, v: float, params: DeviceParams) -> float:
         raise ValueError(f"probability {p} is negative or not a number")
     if p >= 1:
         raise ValueError(f"probability {p} unreachable with a finite pulse")
-    return -params.tau_eff(v) * math.log1p(-p)
+    return -params.tau_eff() * math.log1p(-p)
 
 
 def switching_time_density(t, params: DeviceParams):

@@ -27,10 +27,10 @@ from ..rng import RngState
 __all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
 
 
-def _uniform_init(shape, fan_in, rng: RngState, dtype):
-    # uniform in [-s, s] with s = sqrt(1/fan_in) <= 1, so inside the
-    # bipolar storage range [-1, 1]
-    s = np.sqrt(1.0 / fan_in)
+def _uniform_init(shape, rng: RngState, dtype):
+    # uniform in [-s, s] with s = sqrt(1/fan_in) <= 1, fan_in the product of
+    # the input dimensions, so inside the bipolar storage range [-1, 1]
+    s = np.sqrt(1.0 / np.prod(shape[1:]))
     return rng.generator.uniform(-s, s, size=shape).astype(dtype)
 
 
@@ -40,7 +40,7 @@ class Conv2d:
     def __init__(self, name, in_ch, out_ch, kernel, rng: RngState, dtype=np.float32):
         self.name = name
         self.kernel = kernel
-        self.w = _uniform_init((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, rng, dtype)
+        self.w = _uniform_init((out_ch, in_ch, kernel, kernel), rng, dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
 
     def params(self):
@@ -214,7 +214,7 @@ class Flatten:
 class Linear:
     def __init__(self, name, in_features, out_features, rng: RngState, dtype=np.float32):
         self.name = name
-        self.w = _uniform_init((out_features, in_features), in_features, rng, dtype)
+        self.w = _uniform_init((out_features, in_features), rng, dtype)
         self.b = np.zeros(out_features, dtype=dtype)
 
     def params(self):

@@ -14,7 +14,10 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     if logits.ndim != 2 or logits.shape[0] != len(labels):
         raise ValueError(f"logits {logits.shape} inconsistent with {len(labels)} labels")
-    b = logits.shape[0]
+    b, classes = logits.shape
+    if labels.min() < 0 or labels.max() >= classes:
+        bad = labels[(labels < 0) | (labels >= classes)]
+        raise ValueError(f"labels {bad.tolist()} lie outside [0, {classes})")
     z = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp

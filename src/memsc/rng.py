@@ -55,7 +55,9 @@ class RngState:
         self._generator = None
 
     def split(self, *labels) -> "RngState":
-        """Derive an independent substream labelled by ``labels``."""
+        """Derive an independent substream labelled by one or more ``labels``."""
+        if not labels:
+            raise ValueError("split needs a label: with none it returns this stream's own bits")
         return RngState(self.seed, self.labels + labels)
 
     @property

@@ -234,13 +234,13 @@ def test_generate_stream_matches_encode_distribution():
 
 def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.BIPOLAR):
     """A per-cell comparator loop that spells out generate_stream's bits."""
-    width = pulse_width_for(target_p, device.v_prog, device)
+    width = pulse_width_for(target_p, device)
     gen = rng.generator
     if device.cell_jitter > 0:
         tau_scale = gen.lognormal(0.0, device.cell_jitter, size=n_bit)
         p_cell = -np.expm1(np.log1p(-target_p) / tau_scale)
     else:
-        p_cell = np.full(n_bit, switch_probability(width, device.v_prog, device))
+        p_cell = np.full(n_bit, switch_probability(width, device))
     bits = np.zeros(n_bit, dtype=bool)
     for cell in range(n_bit):
         bits[cell] = gen.random() < p_cell[cell]

@@ -6,6 +6,7 @@ fit constants (tau = 0.38 ms, DELTA_T = 0.5, V0 = 0.4 V, V = 4.5 V).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,43 +31,43 @@ def test_default_tau_eff_matches_measured_constant():
 
 def test_switch_probability_boundaries():
     params = DeviceParams()
-    assert switch_probability(0.0, params.v_prog, params) == 0.0
+    assert switch_probability(0.0, params) == 0.0
     t_sat = 100 * params.tau_eff()
-    assert switch_probability(t_sat, params.v_prog, params) >= 1 - math.exp(-100) - 1e-15
+    assert switch_probability(t_sat, params) >= 1 - math.exp(-100) - 1e-15
 
 
 def test_switch_probability_half_at_ln2():
-    # tau0 = 0.38 ms * e^(4.5/0.4) makes tau_eff(4.5 V) = 0.38 ms, so the
+    # tau0 = 0.38 ms * e^(4.5/0.4) makes tau_eff() = 0.38 ms at 4.5 V, so the
     # half-switching pulse is 0.38 ms * ln 2
     params = DeviceParams()
     t_half = 0.38e-3 * math.log(2)
-    assert switch_probability(t_half, 4.5, params) == pytest.approx(0.5, rel=1e-12)
+    assert switch_probability(t_half, params) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_switch_probability_negative_t_rejected():
     with pytest.raises(ValueError):
-        switch_probability(-1e-9, 4.5, DeviceParams())
+        switch_probability(-1e-9, DeviceParams())
 
 
 def test_pulse_width_trivials():
     params = DeviceParams()
-    assert pulse_width_for(0.0, 4.5, params) == 0.0
-    assert pulse_width_for(0.5, 4.5, params) == pytest.approx(
+    assert pulse_width_for(0.0, params) == 0.0
+    assert pulse_width_for(0.5, params) == pytest.approx(
         params.tau_eff() * math.log(2), rel=1e-12
     )
     with pytest.raises(ValueError):
-        pulse_width_for(1.0, 4.5, params)
+        pulse_width_for(1.0, params)
     with pytest.raises(ValueError):
-        pulse_width_for(-0.1, 4.5, params)
+        pulse_width_for(-0.1, params)
     with pytest.raises(ValueError, match="nan"):
-        pulse_width_for(float("nan"), 4.5, params)
+        pulse_width_for(float("nan"), params)
 
 
 def test_round_trip_identity():
     params = DeviceParams()
     for p in (0.01, 0.5, 0.99):
-        t = pulse_width_for(p, 4.5, params)
-        assert switch_probability(t, 4.5, params) == pytest.approx(p, rel=1e-9)
+        t = pulse_width_for(p, params)
+        assert switch_probability(t, params) == pytest.approx(p, rel=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
@@ -75,23 +76,24 @@ def test_round_trip_identity():
     v=st.floats(min_value=0.1, max_value=10.0),
 )
 def test_round_trip_identity_property(p, v):
-    params = DeviceParams()
-    back = switch_probability(pulse_width_for(p, v, params), v, params)
+    params = DeviceParams(v_prog=v)
+    back = switch_probability(pulse_width_for(p, params), params)
     assert back == pytest.approx(p, rel=1e-9, abs=1e-12)
 
 
 def test_monotonicity_grid():
+    # the law at voltage v is the law of the device programmed at v
     params = DeviceParams()
     gen = np.random.default_rng(7)
-    ts = np.sort(gen.uniform(0, 5 * params.tau_eff(0.5), 50))
+    ts = np.sort(gen.uniform(0, 5 * replace(params, v_prog=0.5).tau_eff(), 50))
     for v in gen.uniform(0.1, 10.0, 8):
-        ps = switch_probability(ts, v, params)
+        ps = switch_probability(ts, replace(params, v_prog=v))
         assert np.all(np.diff(ps) >= 0)
     # strict in voltage while the law is unsaturated (it reaches 1.0 exactly
     # in floating point once t >> tau_eff, where strictness cannot hold)
-    t = 1e-3 * params.tau_eff(10.0)
+    t = 1e-3 * replace(params, v_prog=10.0).tau_eff()
     vs = np.sort(gen.uniform(0.1, 10.0, 50))
-    ps = np.array([switch_probability(t, v, params) for v in vs])
+    ps = np.array([switch_probability(t, replace(params, v_prog=v)) for v in vs])
     assert np.all(np.diff(ps) > 0)
 
 
@@ -146,42 +148,21 @@ def test_infinite_params_rejected(name):
         DeviceParams(**{name: float("inf")})
 
 
-def test_nan_times_and_voltages_rejected():
+def test_nan_times_rejected():
     # each of these returned NaN
     params, nan = DeviceParams(), float("nan")
     for t in (nan, np.array([1e-4, nan])):
         with pytest.raises(ValueError, match="NaN"):
-            switch_probability(t, 4.5, params)
+            switch_probability(t, params)
         with pytest.raises(ValueError, match="NaN"):
             switching_time_density(t, params)
-    for v in (nan, float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="voltage"):
-            switch_probability(1e-4, v, params)
-        with pytest.raises(ValueError, match="voltage"):
-            pulse_width_for(0.5, v, params)
-        with pytest.raises(ValueError, match="voltage"):
-            params.tau_eff(v)
 
 
 @pytest.mark.parametrize("v0", [1e-3, 1e-300])
 def test_underflowing_time_constant_rejected(v0):
     # tau_eff() underflowed to 0.0: switch_probability divided by zero and
-    # pulse_width_for returned 0 for every p
+    # pulse_width_for returned 0 for every p. A high v_prog underflows it too.
     with pytest.raises(ValueError, match="time constant"):
         DeviceParams(v0=v0)
-
-
-def test_time_constant_at_a_voltage_must_be_positive_and_finite():
-    params = DeviceParams()
-    # exp(4.5 / 0.4) stays finite, exp(1000 / 0.4) overflows (OverflowError),
-    # and a large positive voltage underflows tau to 0.0
-    assert params.tau_eff(-4.5) > 0
-    for v in (-1000.0, 1000.0):
-        with pytest.raises(ValueError, match="time constant"):
-            params.tau_eff(v)
-        with pytest.raises(ValueError, match="time constant"):
-            switch_probability(1e-4, v, params)
-        with pytest.raises(ValueError, match="time constant"):
-            pulse_width_for(0.5, v, params)
     with pytest.raises(ValueError, match="time constant"):
         DeviceParams(v_prog=1000.0)

@@ -279,6 +279,16 @@ def test_cross_entropy_shape_check():
         cross_entropy(np.zeros((3, 10)), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_cross_entropy_labels_outside_classes_rejected(bad):
+    # -1 was scored as the last class (loss 0.0134 on logits favouring
+    # class 2), and 10 raised IndexError
+    logits = np.zeros((3, 10))
+    logits[:, 2] = 5.0
+    with pytest.raises(ValueError, match=rf"labels \[{bad}\]"):
+        cross_entropy(logits, np.array([2, bad, 2]))
+
+
 # ---------------------------------------------------------------------------
 # network-level contracts
 # ---------------------------------------------------------------------------

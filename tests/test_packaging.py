@@ -1,7 +1,8 @@
 """Every console entry point and every ``__all__`` name must resolve, every
 ``__all__`` name is read by the package or the benchmark unless it is a test
 oracle, the package imports nothing beyond the standard library and numpy,
-and its dataclasses are frozen values."""
+every parameter of an exported function is read, and its dataclasses are
+frozen values."""
 
 import ast
 import dataclasses
@@ -61,6 +62,29 @@ def test_exports_are_read_outside_tests():
                 for m in _modules() for name in getattr(m, "__all__", ())}
     unread = sorted(full for full, name in exported.items() if name not in read)
     assert {exported[full] for full in unread} == TEST_ORACLES, unread
+
+
+def test_exported_functions_read_every_parameter():
+    # a parameter its function never reads is dead: every caller passes it
+    # for nothing, and nothing flags it when the last reader goes
+    checked, unread = 0, []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name in exported):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            checked += 1
+            unread += [f"{path.relative_to(ROOT)}::{node.name}({p})"
+                       for p in params if p not in loaded]
+    assert checked > 10 and not unread, unread
 
 
 def test_runtime_imports_are_stdlib_numpy_or_memsc():

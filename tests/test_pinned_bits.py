@@ -1,12 +1,15 @@
-"""sha256 pins of the ideal source's binomial updates and the initial weights.
+"""sha256 pins of the ideal source's binomial updates, the initial weights
+and the in-array streams.
 
-These are the bits the ``cnn_binomial`` and ``cnn_float_eval`` benchmark
-workloads start from and move through. A change that moves any of them
-must say so. Each digest is taken over ``tobytes()`` of the arrays in the
-order listed; no BLAS call sits in the hashed paths, so the pins do not
-depend on the thread count. They do depend on numpy's ``binomial`` and
-``uniform`` streams, which numpy keeps fixed across its releases only on
-a best-effort basis; the digests were taken with numpy 2.4.
+These are the bits the ``cnn_binomial``, ``cnn_float_eval`` and
+``array_gen`` benchmark workloads start from and move through. A change
+that moves any of them must say so. Each digest is taken over
+``tobytes()`` of the arrays in the order listed (pulse widths as
+``float.hex``); no BLAS call sits in the hashed paths, so the pins do not
+depend on the thread count. They do depend on numpy's ``binomial``,
+``uniform``, ``lognormal`` and ``random`` streams, which numpy keeps fixed
+across its releases only on a best-effort basis; the digests were taken
+with numpy 2.4.
 """
 
 import hashlib
@@ -14,6 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from memsc.crossbar import TileConfig, generate_stream
+from memsc.device import DeviceParams
 from memsc.nn.network import reduced_network, table1_network
 from memsc.optimizer import OptimizerConfig, update_tensor
 from memsc.rng import RngState
@@ -48,3 +53,18 @@ def test_binomial_update_bits_are_pinned(mode, want):
 ])
 def test_initial_parameter_bits_are_pinned(build, want):
     assert digest(*build(RngState(1)).params().values()) == want
+
+
+@pytest.mark.parametrize("jitter, want", [
+    (0.0, "c5585a5b20d78f7253ea8839dd6d89ea637ab305932269a31a78a05de5c53ea8"),
+    (0.6, "3484850eff89107c3f56bcfdb82c958393a142e8dbb7897ad0ecf7708913db5e"),
+])
+def test_in_array_stream_bits_are_pinned(jitter, want):
+    h = hashlib.sha256()
+    device, tile = DeviceParams(cell_jitter=jitter), TileConfig()
+    for p in (0.0, 0.1, 0.41, 0.5, 0.9, 0.99):
+        rng = RngState(17).split("array", jitter, p)
+        stream, stats = generate_stream(p, 16384, device, tile, rng)
+        h.update(stream.bits.tobytes())
+        h.update(stats.pulse_width_s.hex().encode())
+    assert h.hexdigest() == want

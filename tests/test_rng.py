@@ -14,6 +14,14 @@ def test_split_streams_are_pinned():
     assert RngState(2024).split("x", 0).generator.random() == 0.431461600215709
 
 
+def test_split_without_labels_rejected():
+    # split() returned a stream with the parent's own (seed, labels), so the
+    # "independent" child drew the parent's bits
+    for root in (RngState(1), RngState(1, ("a",))):
+        with pytest.raises(ValueError, match="label"):
+            root.split()
+
+
 def test_builtin_labels_accepted():
     root = RngState(0, (1, 0.5, "a"))
     assert root.split(-2, 1e-3, "b").labels == (1, 0.5, "a", -2, 1e-3, "b")
