@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._checks import is_int
+from ._checks import is_int, is_real
 from .device import DeviceParams, pulse_width_for, switch_probability
 from .rng import RngState
 from .sc import BitStream, Priori
@@ -70,8 +70,8 @@ class TileConfig:
             "tile_area_um2", "p_on_w", "p_off_w", "xnor_total_area_mm2",
             "adder_register_area_mm2", "sense_amp_total_area_mm2",
         ):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            if not (is_real(value := getattr(self, name)) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_real
 from .rng import RngState
 
 __all__ = [
@@ -70,9 +71,9 @@ class DeviceParams:
     def __post_init__(self):
         for name in ("v0", "tau0", "v_prog"):
             value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
+            if not (is_real(value) and value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (self.cell_jitter >= 0 and math.isfinite(self.cell_jitter)):
+        if not (is_real(self.cell_jitter) and 0 <= self.cell_jitter < math.inf):
             raise ValueError(f"cell_jitter must be finite and >= 0, got {self.cell_jitter!r}")
         if not self.tau_eff() > 0:  # v_prog / v0 > 0: exp can underflow, never overflow
             raise ValueError(f"time constant tau0 * exp(-v_prog / v0) underflows to 0 in {self!r}")

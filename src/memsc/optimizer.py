@@ -9,12 +9,13 @@ in expectation the update is theta - eta*g whenever no clamp binds.
 
 ``update_tensor`` is the one update kernel; called on 0-d arrays it is the
 scalar update. It writes each rule once on exact values (SGD theta - eta*g;
-momentum v' = gamma*v + eta*g, then theta - v'). Its exec modes are
-  float     the rule as written (the 32-bit baseline and oracle),
-  binomial  the float rule with each doubled MUX output drawn from
-            Binomial(n_bit, (2 + x)/4): a MUX whose doubled output is x
-            has a half-sum stream of that one-probability, so x becomes
-            clamp(4*k/n_bit - 2) for the popcount k,
+momentum v' = gamma*v + eta*g, then theta - v'). ``exec_mode`` names a law
+``law(x, n_bit, rng) -> x'`` of ``MUX_LAWS``, applied to each doubled MUX
+output x, or the reference "bitexact". A new law is one table entry;
+experiments add to the table instead of patching ``update_tensor``.
+  float     the identity (the 32-bit baseline and oracle),
+  binomial  clamp(4*k/n_bit - 2) for k ~ Binomial(n_bit, (2 + x)/4), the
+            popcount of a MUX half-sum stream whose doubled decode is x,
   bitexact  ``sc_sgd_step`` / ``sc_momentum_step`` element by element in
             flattened order, all on the tensor's one stream ``rng``.
 The ``sc_*_step`` functions simulate the streams bit by bit; they are the
@@ -34,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._checks import is_int
+from ._checks import is_int, is_real
 from .rng import RngState
 from .sc import BitStream, Priori, decode, encode, negate, scaled_add, xnor_mul
 
@@ -45,11 +46,10 @@ __all__ = [
     "sc_momentum_step",
     "update_tensor",
     "MODES",
-    "EXEC_MODES",
+    "MUX_LAWS",
 ]
 
 MODES = ("sgd", "momentum")
-EXEC_MODES = ("float", "bitexact", "binomial")
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.exec_mode not in EXEC_MODES:
-            raise ValueError(f"exec_mode must be one of {EXEC_MODES}, got {self.exec_mode!r}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        if self.exec_mode not in (*MUX_LAWS, "bitexact"):
+            raise ValueError(f"exec_mode must be in {(*MUX_LAWS, 'bitexact')}, got {self.exec_mode!r}")
+        if not (is_real(self.eta) and 0.0 < self.eta <= 1.0):
+            raise ValueError(f"eta must be a real in (0, 1], got {self.eta!r}")
+        if not (is_real(self.gamma) and 0.0 <= self.gamma < 1.0):
+            raise ValueError(f"gamma must be a real in [0, 1), got {self.gamma!r}")
         if not is_int(self.n_bit) or self.n_bit < 1:
             raise ValueError(f"n_bit must be an int >= 1, got {self.n_bit!r}")
 
@@ -141,16 +141,12 @@ def sc_momentum_step(
 # The update kernel.
 # ---------------------------------------------------------------------------
 
-def _exact(x):
-    return x
+def _binomial(x, n_bit: int, rng: RngState):
+    popcount = rng.generator.binomial(n_bit, (2.0 + x) / 4.0)
+    return _clamp_unit(4.0 * (popcount / n_bit) - 2.0)
 
 
-def _binomial_mux(n_bit: int, gen: np.random.Generator):
-    def draw(x):
-        popcount = gen.binomial(n_bit, (2.0 + x) / 4.0)
-        return _clamp_unit(4.0 * (popcount / n_bit) - 2.0)
-
-    return draw
+MUX_LAWS = {"float": lambda x, n_bit, rng: x, "binomial": _binomial}
 
 
 def update_tensor(
@@ -194,11 +190,11 @@ def update_tensor(
         raise ValueError("stochastic updates require parameters in [-1, 1]")
 
     if cfg.exec_mode != "bitexact":
-        mux = _binomial_mux(cfg.n_bit, rng.generator) if cfg.exec_mode == "binomial" else _exact
+        law = MUX_LAWS[cfg.exec_mode]
         if cfg.mode == "sgd":
-            return mux(params - cfg.eta * g_c), None, e_grad_stat
-        new_v = mux(cfg.gamma * v + cfg.eta * g_c)
-        return mux(params - new_v), new_v, e_grad_stat
+            return law(params - cfg.eta * g_c, cfg.n_bit, rng), None, e_grad_stat
+        new_v = law(cfg.gamma * v + cfg.eta * g_c, cfg.n_bit, rng)
+        return law(params - new_v, cfg.n_bit, rng), new_v, e_grad_stat
 
     # bitexact: sc_*_step element by element in flattened order, on rng's one stream
     flat_p, flat_g = params.reshape(-1), grads.reshape(-1)

@@ -59,9 +59,11 @@ def test_plan_validation():
     # an infinite power or area would make power_report's totals infinite
     for field in dataclasses.fields(TileConfig):
         if field.name != "cols":
-            for bad in (float("nan"), float("inf")):
+            # a bool passed as 1; a string raised a bare TypeError from "<"
+            for bad in (float("nan"), float("inf"), True, "1.0"):
                 with pytest.raises(ValueError, match=field.name):
                     TileConfig(**{field.name: bad})
+            TileConfig(**{field.name: np.float32(1.0)})
 
 
 @settings(max_examples=200, deadline=None)

@@ -135,9 +135,12 @@ def test_switching_time_chi_square_vs_exponential():
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         DeviceParams(v0=0.0)
+    # a bool passed as 1; a string raised a bare TypeError from ">"
     for name in ("v0", "tau0", "v_prog", "cell_jitter"):
-        with pytest.raises(ValueError, match=name):
-            DeviceParams(**{name: float("nan")})
+        for bad in (float("nan"), True, "4.5"):
+            with pytest.raises(ValueError, match=name):
+                DeviceParams(**{name: bad})
+        DeviceParams(**{name: np.float32(0.5) if name == "cell_jitter" else np.float64(4.0)})
 
 
 @pytest.mark.parametrize("name", ["v0", "tau0", "v_prog", "cell_jitter"])

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from memsc import optimizer
 from memsc.optimizer import (
     OptimizerConfig,
     clip_gradient,
@@ -97,9 +98,13 @@ def test_config_validation():
     for bad_n_bit in (1.5, 16384.0, True):
         with pytest.raises(ValueError, match="n_bit"):
             cfg(n_bit=bad_n_bit)
+    # a bool passed as 1 or 0; a string raised a bare TypeError from "<"
     for name in ("eta", "gamma"):
-        with pytest.raises(ValueError):
-            cfg(**{name: float("nan")})
+        for bad in (float("nan"), True, False, "0.5"):
+            with pytest.raises(ValueError, match=name):
+                cfg(**{name: bad})
+    assert cfg(eta=np.float32(0.25), gamma=np.float64(0.5)).gamma == 0.5
+    assert cfg(eta=1, gamma=0).eta == 1
 
 
 def test_config_is_frozen():
@@ -572,6 +577,31 @@ def test_update_clamp_boundary_property(mode, exec_mode, data):
     else:
         assert np.all(np.abs(new) <= 1.0)
         assert not momentum or np.all(np.abs(new_v) <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the law table: exec_mode names a MUX law or the bitexact reference
+# ---------------------------------------------------------------------------
+
+def test_exec_mode_names_a_law_or_bitexact(monkeypatch):
+    for bad in ("quantum", ["float"]):  # a list is unhashable: still a ValueError
+        with pytest.raises(ValueError, match="exec_mode"):
+            cfg(exec_mode=bad)
+    monkeypatch.delitem(optimizer.MUX_LAWS, "binomial")
+    with pytest.raises(ValueError, match="exec_mode"):
+        cfg(exec_mode="binomial")
+    assert cfg(exec_mode="bitexact").exec_mode == "bitexact"
+
+
+def test_a_law_leaving_the_range_trips_the_sc_range_check(monkeypatch):
+    monkeypatch.setitem(optimizer.MUX_LAWS, "unclamped", lambda x, n_bit, rng: x)
+    params, grads = np.array([0.9, 0.0]), np.array([-1.0, 0.0])
+    for exec_mode in ("float", "unclamped"):
+        new, _, _ = update_tensor(params, grads, cfg(eta=0.5, exec_mode=exec_mode), rng("lr"))
+        assert np.array_equal(new, [1.4, 0.0])
+    update_tensor(new, grads, cfg(exec_mode="float"), rng("lr"))
+    with pytest.raises(ValueError, match=r"in \[-1, 1\]"):
+        update_tensor(new, grads, cfg(exec_mode="unclamped"), rng("lr"))
 
 
 def test_update_tensor_out_of_range_params_rejected():

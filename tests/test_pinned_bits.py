@@ -1,15 +1,14 @@
-"""sha256 pins of the ideal source's binomial updates, the initial weights
-and the in-array streams.
+"""sha256 pins of every exec mode's updates, the initial weights and the
+in-array streams.
 
-These are the bits the ``cnn_binomial``, ``cnn_float_eval`` and
-``array_gen`` benchmark workloads start from and move through. A change
-that moves any of them must say so. Each digest is taken over
-``tobytes()`` of the arrays in the order listed (pulse widths as
-``float.hex``); no BLAS call sits in the hashed paths, so the pins do not
-depend on the thread count. They do depend on numpy's ``binomial``,
-``uniform``, ``lognormal`` and ``random`` streams, which numpy keeps fixed
-across its releases only on a best-effort basis; the digests were taken
-with numpy 2.4.
+These are the bits the four benchmark workloads start from and move
+through, and every exec mode has its pin. A change that moves any of
+them must say so. Each digest is taken over ``tobytes()`` of the arrays
+in the order listed (pulse widths as ``float.hex``); no BLAS call sits in
+the hashed paths, so the pins do not depend on the thread count. They do
+depend on numpy's ``binomial``, ``uniform``, ``lognormal`` and ``random``
+streams, which numpy keeps fixed across its releases only on a
+best-effort basis; the digests were taken with numpy 2.4.
 """
 
 import hashlib
@@ -20,7 +19,7 @@ import pytest
 from memsc.crossbar import TileConfig, generate_stream
 from memsc.device import DeviceParams
 from memsc.nn.network import reduced_network, table1_network
-from memsc.optimizer import OptimizerConfig, update_tensor
+from memsc.optimizer import MUX_LAWS, OptimizerConfig, update_tensor
 from memsc.rng import RngState
 
 
@@ -31,16 +30,28 @@ def digest(*arrays):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("mode, want", [
-    ("sgd", "880234573a3f13d78ff0f00c683f94647561ddf2096314293a2f5b6bb7206bf1"),
-    ("momentum", "fad43cb67b8c29689764ce33f2b60229cbe5ad5c42821ded8fc866d069c5704e"),
-])
-def test_binomial_update_bits_are_pinned(mode, want):
+UPDATE_PINS = {
+    ("float", "sgd"): "c3a96220a9d48cc08271722e8ff3ad1fbc73ca5ec39748bdeeda6368991fcd82",
+    ("float", "momentum"): "af6fa38ab7392a9aadaed63bc093deaa6590488d0250441e0529d559ae272dd4",
+    ("binomial", "sgd"): "880234573a3f13d78ff0f00c683f94647561ddf2096314293a2f5b6bb7206bf1",
+    ("binomial", "momentum"): "fad43cb67b8c29689764ce33f2b60229cbe5ad5c42821ded8fc866d069c5704e",
+    ("bitexact", "sgd"): "fc2375816ee19ca412a27e263ff97120e4e1221c09acc4ee3341b2e18ff306dd",
+    ("bitexact", "momentum"): "974fcca2d77e49e444743e3b561197af807e12a0916b2a274d8c3ce0155bccbb",
+}
+
+
+def test_every_exec_mode_is_pinned():
+    assert tuple(dict.fromkeys(e for e, _ in UPDATE_PINS)) == (*MUX_LAWS, "bitexact")
+
+
+@pytest.mark.parametrize("exec_mode, mode", list(UPDATE_PINS))
+def test_update_bits_are_pinned(exec_mode, mode):
+    want = UPDATE_PINS[exec_mode, mode]
     gen = np.random.default_rng(2024)
     params = gen.uniform(-1, 1, (7, 5))
     velocity = gen.uniform(-0.5, 0.5, (7, 5))
     grads = gen.normal(0, 1.5, (7, 5))  # about half beyond the clip range
-    cfg = OptimizerConfig(mode=mode, eta=0.5, gamma=0.9, n_bit=16384, exec_mode="binomial")
+    cfg = OptimizerConfig(mode=mode, eta=0.5, gamma=0.9, n_bit=16384, exec_mode=exec_mode)
     new, new_v, e = update_tensor(params, grads, cfg, RngState(5).split("pin", mode),
                                   velocity=velocity if mode == "momentum" else None)
     assert (digest(new) if new_v is None else digest(new, new_v)) == want

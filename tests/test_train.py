@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from memsc import optimizer
 from memsc.nn import (
     TrainProtocol,
     evaluate,
@@ -51,6 +52,35 @@ def test_momentum_binomial_runs(blobs):
                 TrainProtocol(epochs=1, batch_size=128, seed=9, eval_every=0))
     assert 0.0 <= log.final_accuracy() <= 1.0
     assert all(np.abs(p).max() <= 1.0 for p in net.params().values())
+
+
+def test_momentum_binomial_learns_synthetic(blobs):
+    train_set, test_set = blobs
+    net = table1_network(RngState(3))
+    cfg = OptimizerConfig(mode="momentum", eta=0.25, gamma=0.5, n_bit=16384,
+                          exec_mode="binomial")
+    log = train(net, train_set, test_set, cfg, TrainProtocol(epochs=2, batch_size=128, seed=9))
+    assert log.final_accuracy() >= 0.80
+
+
+def test_a_law_added_to_the_table_runs_in_train(blobs, monkeypatch):
+    # no patch of update_tensor: the table is the seam
+    train_set, test_set = blobs
+    shapes = []
+
+    def clamped(x, n_bit, rng):
+        shapes.append(x.shape)
+        return np.clip(x, -0.5, 0.5)
+
+    monkeypatch.setitem(optimizer.MUX_LAWS, "clamped", clamped)
+    net = table1_network(RngState(4))
+    log = train(net, train_set.subset(256), test_set.subset(64),
+                OptimizerConfig(eta=0.5, exec_mode="clamped"),
+                TrainProtocol(epochs=1, batch_size=128, seed=3, eval_every=0))
+    assert importlib.import_module("memsc.nn.train").update_tensor is optimizer.update_tensor
+    params = net.params()
+    assert len(log) == 2 and shapes == [p.shape for p in params.values()] * 2
+    assert all(np.abs(p).max() <= 0.5 for p in params.values())
 
 
 def test_binomial_mode_determinism(blobs):
