@@ -1,5 +1,7 @@
 """Argument checks shared by the configuration boundaries."""
 
+import sys
+
 import numpy as np
 
 
@@ -9,5 +11,7 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """True for a Python or numpy int or float; bools and strings are not."""
-    return is_int(value) or isinstance(value, (float, np.floating))
+    """True for a Python or numpy float, or an int a float can hold; bools and strings are not."""
+    if is_int(value):  # a Python int can outgrow every float
+        return -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, (float, np.floating))

@@ -17,8 +17,9 @@ published 43.0 uW; no bridging duty-cycle assumption is published. One
 fixed calibration scalar, DEFAULT_KAPPA = 0.108, maps the raw value onto
 the published per-stream powers, and reports always carry both numbers.
 
-A plan carries the tile it was sized on, so ``power_report`` reads the
-geometry, the area constants and the cell powers from the plan alone.
+The macro's areas and cell powers are the published 40 nm figures, module
+constants rather than settings. A plan carries the tile it was sized on,
+so ``power_report`` reads the geometry from the plan alone.
 
 The paper puts its SC MAC (one XNOR and one MUX, 58 ps) at 1e5 times less
 area and 1e2 times less delay than a 16-bit binary MAC.
@@ -49,29 +50,23 @@ __all__ = [
 ]
 
 DEFAULT_KAPPA = 0.108
+TILE_AREA_UM2 = 2.77e3
+P_ON_W = 45e-9                  # LDMOS on-cell draw at 4.5 V
+P_OFF_W = 0.45e-9
+XNOR_AREA_MM2 = 0.031           # full multiplier datapath
+ADDER_REGISTER_AREA_MM2 = 0.0735
+SENSE_AMP_AREA_MM2 = 0.0267
 
 
 @dataclass(frozen=True)
 class TileConfig:
-    """Geometry and electrical constants of the 40 nm RRAM macro."""
+    """Geometry of one RRAM tile: one active row yields ``cols`` bits."""
 
     cols: int = 128
-    tile_area_um2: float = 2.77e3
-    p_on_w: float = 45e-9        # LDMOS on-cell draw at 4.5 V
-    p_off_w: float = 0.45e-9
-    xnor_total_area_mm2: float = 0.031     # full multiplier datapath
-    adder_register_area_mm2: float = 0.0735
-    sense_amp_total_area_mm2: float = 0.0267
 
     def __post_init__(self):
         if not is_int(self.cols) or self.cols < 1:
             raise ValueError(f"cols must be an int >= 1, got {self.cols!r}")
-        for name in (
-            "tile_area_um2", "p_on_w", "p_off_w", "xnor_total_area_mm2",
-            "adder_register_area_mm2", "sense_amp_total_area_mm2",
-        ):
-            if not (is_real(value := getattr(self, name)) and 0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,8 @@ class ArrayPlan:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if not isinstance(self.tile, TileConfig):
+            raise ValueError(f"tile must be a TileConfig, got {self.tile!r}")
 
     @property
     def tiles_per_stream(self) -> int:
@@ -189,9 +186,9 @@ def generate_stream(
     return stream, stats
 
 
-def _p_read_raw(n_bit: int, e: float, tile: TileConfig) -> float:
+def _p_read_raw(n_bit: int, e: float) -> float:
     # One readout of an n_bit stream at mean on-cell probability e.
-    return n_bit * (tile.p_on_w * e + tile.p_off_w * (1.0 - e))
+    return n_bit * (P_ON_W * e + P_OFF_W * (1.0 - e))
 
 
 def power_report(plan: ArrayPlan, e_grad: float, e_weight: float) -> CostReport:
@@ -202,17 +199,17 @@ def power_report(plan: ArrayPlan, e_grad: float, e_weight: float) -> CostReport:
     total doubles their sum for the reset tiles, and time multiplexing
     halves the static-power ceiling.
     """
-    if not 0.0 <= e_grad <= 1.0 or not 0.0 <= e_weight <= 1.0:
-        raise ValueError("expected on-cell probabilities must lie in [0, 1]")
-    tile = plan.tile
+    for name, e in (("e_grad", e_grad), ("e_weight", e_weight)):
+        if not (is_real(e) and 0.0 <= e <= 1.0):
+            raise ValueError(f"{name} must be an on-cell probability in [0, 1], got {e!r}")
     areas = dict(  # summed in this order; the fixed blocks first move the total one ulp
-        rram_area_mm2=plan.total_tiles * tile.tile_area_um2 / 1e6,
-        xnor_area_mm2=tile.xnor_total_area_mm2,
-        adder_register_area_mm2=tile.adder_register_area_mm2,
-        sense_amp_area_mm2=tile.sense_amp_total_area_mm2,
+        rram_area_mm2=plan.total_tiles * TILE_AREA_UM2 / 1e6,
+        xnor_area_mm2=XNOR_AREA_MM2,
+        adder_register_area_mm2=ADDER_REGISTER_AREA_MM2,
+        sense_amp_area_mm2=SENSE_AMP_AREA_MM2,
     )
-    raw_grad = _p_read_raw(plan.n_bit, e_grad, tile)
-    raw_weight = _p_read_raw(plan.n_bit, e_weight, tile)
+    raw_grad = _p_read_raw(plan.n_bit, e_grad)
+    raw_weight = _p_read_raw(plan.n_bit, e_weight)
     p_grad, p_weight = DEFAULT_KAPPA * raw_grad, DEFAULT_KAPPA * raw_weight
     total = plan.pingpong_factor * (p_grad + p_weight)
     return CostReport(

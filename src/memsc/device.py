@@ -4,15 +4,16 @@ A device under a programming pulse of width t at voltage V turns on with
 
     P(t, V) = 1 - exp(-t * exp(V / V0) / tau0),
 
-where V0 and tau0 are fitting parameters and V is ``DeviceParams.v_prog``;
-the law at another voltage is the law of
+where V is ``DeviceParams.v_prog`` and V0 and tau0 are the published fit
+of one fabricated device, the module constants DEFAULT_V0 and
+DEFAULT_TAU0; the law at another voltage is the law of
 ``dataclasses.replace(params, v_prog=V)``. Inverting the expression gives
 the pulse width that realizes a target switching probability, which is how
 bit streams are programmed in-memory. The time-to-switch follows the
 exponential law of the same time constant, tau = tau0 * exp(-V / V0),
-reported for a fabricated device at 4.5 V (tau = 0.38 ms) as the
-histogram density P(t) = (DELTA_T / tau) * exp(-t / tau) with the fit's
-bin constant DELTA_T = 0.5.
+reported for that device at 4.5 V (tau = 0.38 ms) as the histogram density
+P(t) = (DELTA_T / tau) * exp(-t / tau) with the fit's bin constant
+DELTA_T = 0.5.
 """
 
 from __future__ import annotations
@@ -23,37 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import is_real
-from .rng import RngState
 
-__all__ = [
-    "DeviceParams",
-    "switch_probability",
-    "pulse_width_for",
-    "switching_time_density",
-    "sample_switching_time",
-]
+__all__ = ["DeviceParams", "switch_probability", "pulse_width_for"]
 
-# Default tau0 is pinned so that tau_eff at the 4.5 V programming voltage
-# equals the measured 0.38 ms switching-time constant (with V0 = 0.4 V).
+# tau0 is pinned so that tau_eff at the 4.5 V programming voltage equals the
+# measured 0.38 ms switching-time constant (with V0 = 0.4 V).
 DEFAULT_V0 = 0.4
 DEFAULT_V_PROG = 4.5
 DEFAULT_TAU = 0.38e-3
 DEFAULT_TAU0 = DEFAULT_TAU * math.exp(DEFAULT_V_PROG / DEFAULT_V0)
-# Histogram bin constant of the reported density fit; it scales the density
-# only, never sampling.
-DELTA_T = 0.5
 
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """CBRAM fitting parameters and the switching-time statistics.
+    """Programming voltage and switching-time jitter of the fitted CBRAM device.
 
     Parameters
     ----------
-    v0 : float
-        Voltage fitting parameter (volts).
-    tau0 : float
-        Time fitting parameter (seconds).
     v_prog : float
         Applied programming voltage (volts).
     cell_jitter : float
@@ -63,16 +50,12 @@ class DeviceParams:
         device-to-device variation.
     """
 
-    v0: float = DEFAULT_V0
-    tau0: float = DEFAULT_TAU0
     v_prog: float = DEFAULT_V_PROG
     cell_jitter: float = 0.0
 
     def __post_init__(self):
-        for name in ("v0", "tau0", "v_prog"):
-            value = getattr(self, name)
-            if not (is_real(value) and value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (is_real(self.v_prog) and 0 < self.v_prog < math.inf):
+            raise ValueError(f"v_prog must be positive and finite, got {self.v_prog!r}")
         if not (is_real(self.cell_jitter) and 0 <= self.cell_jitter < math.inf):
             raise ValueError(f"cell_jitter must be finite and >= 0, got {self.cell_jitter!r}")
         if not self.tau_eff() > 0:  # v_prog / v0 > 0: exp can underflow, never overflow
@@ -80,7 +63,7 @@ class DeviceParams:
 
     def tau_eff(self) -> float:
         """Effective switching time constant tau0 * exp(-v_prog / v0)."""
-        return self.tau0 * math.exp(-self.v_prog / self.v0)
+        return DEFAULT_TAU0 * math.exp(-self.v_prog / DEFAULT_V0)
 
 
 def switch_probability(t, params: DeviceParams):
@@ -108,18 +91,3 @@ def pulse_width_for(p: float, params: DeviceParams) -> float:
         raise ValueError(f"probability {p} unreachable with a finite pulse")
     return -params.tau_eff() * math.log1p(-p)
 
-
-def switching_time_density(t, params: DeviceParams):
-    """Reported switching-time histogram density (DELTA_T/tau) e^(-t/tau), tau = tau_eff()."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("time must be >= 0 and not NaN")
-    tau = params.tau_eff()
-    d = (DELTA_T / tau) * np.exp(-t / tau)
-    return float(d) if d.ndim == 0 else d
-
-
-def sample_switching_time(params: DeviceParams, rng: RngState, size: int | None = None):
-    """Draw switching times from the exponential law of mean tau_eff() by inverse transform."""
-    u = rng.generator.random(size)
-    return -params.tau_eff() * np.log1p(-u)

@@ -100,7 +100,7 @@ def test_config_validation():
             cfg(n_bit=bad_n_bit)
     # a bool passed as 1 or 0; a string raised a bare TypeError from "<"
     for name in ("eta", "gamma"):
-        for bad in (float("nan"), True, False, "0.5"):
+        for bad in (float("nan"), True, False, "0.5", 10**400):
             with pytest.raises(ValueError, match=name):
                 cfg(**{name: bad})
     assert cfg(eta=np.float32(0.25), gamma=np.float64(0.5)).gamma == 0.5

@@ -1,8 +1,8 @@
 """Every console entry point and every ``__all__`` name must resolve, every
 ``__all__`` name is read by the package or the benchmark unless it is a test
 oracle, the package imports nothing beyond the standard library and numpy,
-every parameter of an exported function is read, and its dataclasses are
-frozen values."""
+every parameter of an exported function is read, its dataclasses are frozen
+values, and each config's settings are the ones listed here."""
 
 import ast
 import dataclasses
@@ -14,12 +14,23 @@ from pathlib import Path
 import pytest
 
 import memsc
+from memsc.crossbar import TileConfig
+from memsc.device import DeviceParams
+from memsc.nn.train import TrainProtocol
+from memsc.optimizer import OptimizerConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
-# Public only so that tests can check against them: the paper's fitted
-# switching-time law, the one way real MNIST enters, and the LFSR period.
-TEST_ORACLES = {"switching_time_density", "sample_switching_time", "load_idx", "lfsr_period"}
+# Public only so that tests can check against them: the one way real MNIST
+# enters, and the LFSR period.
+TEST_ORACLES = {"load_idx", "lfsr_period"}
+# Every setting of every config, in field order: a new setting edits this list.
+CONFIG_FIELDS = {
+    OptimizerConfig: ("mode", "eta", "gamma", "n_bit", "exec_mode"),
+    TrainProtocol: ("epochs", "batch_size", "seed", "eval_every", "run_id"),
+    TileConfig: ("cols",),
+    DeviceParams: ("v_prog", "cell_jitter"),
+}
 
 
 def test_entry_points_resolve():
@@ -117,3 +128,9 @@ def test_dataclasses_are_frozen():
     assert "memsc.sc.BitStream" in classes and "memsc.nn.data.Dataset" in classes
     mutable = sorted(name for name, cls in classes.items() if not cls.__dataclass_params__.frozen)
     assert mutable == ["memsc.sc.LfsrState"]
+
+
+def test_config_settings_are_pinned():
+    # published constants and fixed choices are module constants, not fields
+    fields = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in CONFIG_FIELDS}
+    assert fields == CONFIG_FIELDS
