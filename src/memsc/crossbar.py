@@ -27,7 +27,6 @@ area and 1e2 times less delay than a 16-bit binary MAC.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -95,7 +94,7 @@ class ArrayPlan:
 
     @property
     def tiles_per_stream(self) -> int:
-        return math.ceil(self.n_bit / self.tile.cols)
+        return -(-self.n_bit // self.tile.cols)
 
     @property
     def total_tiles(self) -> int:

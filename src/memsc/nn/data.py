@@ -99,6 +99,8 @@ def synthetic_dataset(n: int, seed: int, classes: int = 10, size: int = 28) -> D
     gen = np.random.default_rng(seed)
     labels = gen.integers(0, classes, n)
     amplitude = gen.uniform(0.6, 1.0, n)[:, None, None]
-    noise = gen.normal(0.0, 0.15, (n, size, size))
-    images = np.clip(templates[labels] * amplitude + noise, 0.0, 1.0)
+    images = templates[labels]
+    images *= amplitude
+    images += gen.normal(0.0, 0.15, (n, size, size))
+    np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images[:, None, :, :].astype(np.float32), labels.astype(np.int64))

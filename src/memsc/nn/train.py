@@ -118,7 +118,12 @@ def train(
     opt_cfg: OptimizerConfig,
     protocol: TrainProtocol,
 ) -> MetricsLog:
-    """Train in place and return the per-minibatch metrics log."""
+    """Train in place and return the per-minibatch metrics log.
+
+    A step drops its layer caches as soon as backward has read them, so
+    the next step's forward never runs while the last one's activations
+    are still held.
+    """
     if len(train_set) < protocol.batch_size:
         raise ValueError(f"training set holds {len(train_set)} examples, "
                          f"fewer than one batch of {protocol.batch_size}")
@@ -142,6 +147,7 @@ def train(
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at step {step}")
             grads = net.backward(caches, dlogits)
+            del caches
 
             e_sum = 0.0
             n_elems = 0

@@ -73,14 +73,6 @@ class BitStream:
             object.__setattr__(self, "bits", bits)
         bits.flags.writeable = False
 
-    @classmethod
-    def zeros(cls, length: int, priori: Priori) -> "BitStream":
-        return cls(np.zeros(length, dtype=bool), priori)
-
-    @classmethod
-    def ones(cls, length: int, priori: Priori) -> "BitStream":
-        return cls(np.ones(length, dtype=bool), priori)
-
     def popcount(self) -> int:
         return int(np.count_nonzero(self.bits))
 

@@ -62,6 +62,10 @@ def test_plan_validation():
     # a plan on a string failed later with AttributeError on .cols
     with pytest.raises(ValueError, match="tile"):
         plan_array(16384, 2, tile="x")
+    # tile counts are exact integer ceilings: a float quotient read 2**53
+    # and a 0-tile plan here
+    assert plan_array(2**60 + 1, 1).tiles_per_stream == 2**53 + 1
+    assert plan_array(16384, 2, TileConfig(cols=10**400)).tiles_per_stream == 1
 
 
 @settings(max_examples=200, deadline=None)

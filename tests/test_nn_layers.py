@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from memsc.nn import TrainProtocol, synthetic_dataset, train
-from memsc.nn.layers import BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU
+from memsc.nn.layers import DW_BLOCK, BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU
 from memsc.nn.loss import cross_entropy
 from memsc.nn.network import reduced_network, table1_network
 from memsc.optimizer import OptimizerConfig
@@ -109,9 +109,16 @@ def check_conv_against_reference(x, out_ch, kernel, dtype, rtol):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
-def test_conv2d_layout_non_square_batched():
+@pytest.mark.parametrize("shape, full_blocks", [
+    ((3, 4, 12, 9), 0),   # 8*5*3 = 120 columns: one partial dW block
+    ((9, 2, 24, 20), 2),  # 20*16*9 = 2880 columns: two full dW blocks and a tail
+], ids=["tail", "two-blocks-and-tail"])
+def test_conv2d_layout_non_square_batched(shape, full_blocks):
     # distinct B, C, F, H and W catch an axis swap the square gradient check cannot
-    x = np.random.default_rng(15).normal(size=(3, 4, 12, 9))
+    b, _, h, w = shape
+    columns = b * (h - 4) * (w - 4)
+    assert columns // DW_BLOCK == full_blocks and columns % DW_BLOCK
+    x = np.random.default_rng(15).normal(size=shape)
     check_conv_against_reference(x, out_ch=5, kernel=5, dtype=np.float64, rtol=1e-12)
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from memsc.crossbar import TileConfig, generate_stream
 from memsc.device import DeviceParams
+from memsc.nn.data import synthetic_dataset
 from memsc.nn.network import reduced_network, table1_network
 from memsc.optimizer import MUX_LAWS, OptimizerConfig, update_tensor
 from memsc.rng import RngState
@@ -64,6 +65,12 @@ def test_update_bits_are_pinned(exec_mode, mode):
 ])
 def test_initial_parameter_bits_are_pinned(build, want):
     assert digest(*build(RngState(1)).params().values()) == want
+
+
+def test_synthetic_dataset_bits_are_pinned():
+    ds = synthetic_dataset(4096, seed=3)
+    assert digest(ds.images, ds.labels) == (
+        "e6188170d7fb79f47687b44254bd2728831fcd24a9ae7bd2ca54ac68e648941d")
 
 
 @pytest.mark.parametrize("jitter, want", [

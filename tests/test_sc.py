@@ -41,8 +41,8 @@ def rng(*labels, seed=1234):
 # ---------------------------------------------------------------------------
 
 def test_decode_trivial_streams():
-    assert decode(BitStream.ones(64, Priori.BIPOLAR)) == 1.0
-    assert decode(BitStream.zeros(64, Priori.BIPOLAR)) == -1.0
+    assert decode(BitStream(np.ones(64, bool), Priori.BIPOLAR)) == 1.0
+    assert decode(BitStream(np.zeros(64, bool), Priori.BIPOLAR)) == -1.0
     # 8-bit pattern 10110010: popcount 4 -> unipolar 0.5
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=bool)
     assert decode(BitStream(bits, Priori.UNIPOLAR)) == 0.5
@@ -74,7 +74,7 @@ def test_bitstream_rejects_non_priori(priori):
 
 
 def test_bitstream_is_frozen():
-    s = BitStream.ones(8, Priori.BIPOLAR)
+    s = BitStream(np.ones(8, bool), Priori.BIPOLAR)
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.bits = np.zeros(8, dtype=bool)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -226,8 +226,8 @@ def test_determinism_same_seed_and_label():
 
 def test_xnor_identity_and_negation():
     b = encode(0.3, 512, Priori.BIPOLAR, rng("xn"))
-    ones = BitStream.ones(512, Priori.BIPOLAR)
-    zeros = BitStream.zeros(512, Priori.BIPOLAR)
+    ones = BitStream(np.ones(512, bool), Priori.BIPOLAR)
+    zeros = BitStream(np.zeros(512, bool), Priori.BIPOLAR)
     assert xnor_mul(ones, b).same_bits(b)
     flipped = xnor_mul(zeros, b)
     assert decode(flipped) == -decode(b)
@@ -271,8 +271,8 @@ def test_scaled_add_identical_inputs_exact():
 
 def test_scaled_add_expectations():
     n = 16384
-    ones = BitStream.ones(n, Priori.BIPOLAR)
-    zeros = BitStream.zeros(n, Priori.BIPOLAR)
+    ones = BitStream(np.ones(n, bool), Priori.BIPOLAR)
+    zeros = BitStream(np.zeros(n, bool), Priori.BIPOLAR)
     sel = encode(0.5, n, Priori.UNIPOLAR, rng("sel1"))
     assert abs(decode(scaled_add(ones, zeros, sel)) - 0.0) <= 0.04
     a = encode(0.8, n, Priori.UNIPOLAR, rng("s8"))
@@ -306,7 +306,7 @@ def test_scaled_add_length_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_negate_exact():
-    assert negate(BitStream.ones(100, Priori.BIPOLAR)).popcount() == 0
+    assert negate(BitStream(np.ones(100, bool), Priori.BIPOLAR)).popcount() == 0
     for k in range(50):
         s = encode(np.sin(k), 257, Priori.BIPOLAR, rng("neg", k))
         assert decode(negate(s)) == -decode(s)
