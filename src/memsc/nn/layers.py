@@ -6,25 +6,31 @@ it: forward(a, training=False) -> (y, cache) and backward(da, cache,
 need_dx=True) -> (dx, grads), which takes the cache of a training forward.
 An evaluation forward returns cache None and may overwrite its input, so
 it is only handed arrays the caller owns; a training forward writes to no
-input, since its cache may hold it. Trainable layers publish their
+input, since its cache may hold it. Backward may overwrite da (ReLU and
+BatchNorm return dx in its buffer), so it too is only handed arrays the
+caller owns, but never writes to its cache: two backward calls on one
+cache with equal da give equal bits. Trainable layers publish their
 parameter arrays through params(). Convolutions are stride-1/no-padding
 and pooling is 2x2/stride-2, which is all the adopted architecture needs.
 
 Convolution is im2col + GEMM (Chellapilla et al. 2006) on channel-major
 columns (C*k*k, OH*OW*B), whose row (c, i, j) is channel c shifted by
-kernel offset (i, j), copied as runs of OW*B floats from the (C, H, W*B)
-view. W(F, C*k*k) @ cols is already the (F, OH, OW, B) output, and dX adds
-the k*k runs of W.T @ dy back into place (col2im). A training forward
-caches its input, not the columns, and backward rebuilds them (Chen et al.
-2016): the columns hold k*k copies of the input, and in the adopted CNN
-conv2's input is the array pool1 already caches. dW is summed over blocks
-of DW_BLOCK columns, (cols_blk @ dy_blk.T).T, rather than taken as one
-dy @ cols.T with a reduction as long as OH*OW*B.
+kernel offset (i, j), a run of OW*B floats of the (C, H, W*B) view.
+W(F, C*k*k) @ cols is already the (F, OH, OW, B) output, and dX adds the
+k*k runs of W.T @ dy back into place (col2im). A training step holds
+little beyond its activations (Chen et al. 2016): a training forward
+caches its input, not the k*k copies of it in the columns, and forward,
+dW and dX each build the columns of one band of output rows at a time.
+dW is one running sum over blocks of DW_BLOCK columns, (cols_blk @
+dy_blk.T).T, rather than one dy @ cols.T with a reduction as long as
+OH*OW*B. dX runs col2im last band first, so every element of dX takes its
+(i, j) terms in (i, j) order, as in one whole-array pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..rng import RngState
 
@@ -45,24 +51,20 @@ def _uniform_init(shape, rng: RngState, dtype):
 # OpenBLAS threads, Haswell kernels).
 DW_BLOCK = 1024
 
+# Bytes of temporary per band: a Conv2d band holds this many bytes of
+# im2col columns (never less than one output row), a BatchNorm backward
+# chunk this many bytes of its (C, N) gradient. At batch 256 conv1 runs in
+# 3-row bands of 18432 columns and conv2 in 1-row bands of 2048, both
+# multiples of DW_BLOCK.
+BAND_BYTES = 2 << 20
+
 
 def _columns(a, k):
-    """The (C*k*k, OH*OW*B) im2col columns of a (C, H, W, B) array."""
+    """The (C*k*k, OH*OW*B) im2col columns of a (C, H, W, B) array, in one strided copy."""
     c, h, w, b = a.shape
-    oh, ow = h - k + 1, w - k + 1
-    rows = a.reshape(c, h, w * b)
-    cols = np.empty((c, k, k, oh, ow * b), dtype=a.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = rows[:, i : i + oh, j * b : (j + ow) * b]
-    return cols.reshape(c * k * k, -1)
-
-
-def _weight_grad(cols, dy):
-    """dy @ cols.T as a sum over blocks of DW_BLOCK columns, the last one partial."""
-    n = cols.shape[1]
-    return sum(cols[:, lo : lo + DW_BLOCK] @ dy[:, lo : lo + DW_BLOCK].T
-               for lo in range(0, n, DW_BLOCK)).T
+    window = (h - k + 1, (w - k + 1) * b)
+    windows = sliding_window_view(a.reshape(c, h, w * b), window, axis=(1, 2))
+    return windows[:, :, ::b].reshape(c * k * k, -1)  # (c, i, j, oh, ow*b)
 
 
 class Conv2d:
@@ -77,11 +79,23 @@ class Conv2d:
     def params(self):
         return {"w": self.w, "b": self.b}
 
+    def _bands(self, a):
+        """(first output row, row count) of each band of a (C, H, W, B) input, in order."""
+        c, h, w, b = a.shape
+        k = self.kernel
+        oh, ow = h - k + 1, w - k + 1
+        rows = max(1, BAND_BYTES // (c * k * k * ow * b * a.itemsize))
+        return [(r, min(rows, oh - r)) for r in range(0, oh, rows)]
+
     def forward(self, a, training=False):
         _, h, w, b = a.shape
         k = self.kernel
-        y = self.w.reshape(self.w.shape[0], -1) @ _columns(a, k)
-        y += self.b[:, None]
+        wm = self.w.reshape(len(self.w), -1)
+        y = np.empty((len(wm), h - k + 1, (w - k + 1) * b), dtype=np.result_type(wm, a))
+        for r, n in self._bands(a):
+            rows = y[:, r : r + n].reshape(len(y), -1)  # a view of y
+            np.matmul(wm, _columns(a[:, r : r + n + k - 1], k), out=rows)
+        y += self.b[:, None, None]
         return y.reshape(-1, h - k + 1, w - k + 1, b), (a if training else None)
 
     def backward(self, da, cache, need_dx=True):
@@ -89,17 +103,30 @@ class Conv2d:
         c, h, w, b = a.shape
         k = self.kernel
         f, oh, ow, _ = da.shape
-        dy = da.reshape(f, -1)  # (F, OH*OW*B)
-        dw = _weight_grad(_columns(a, k), dy).reshape(self.w.shape)
-        db = dy.sum(axis=1)
+        dy = da.reshape(f, oh, ow * b)
+        bands = self._bands(a)
+        # dy @ cols.T as one running sum over blocks of DW_BLOCK columns, in
+        # column order; a band's last block may be partial
+        dw = 0
+        for r, n in bands:
+            cols = _columns(a[:, r : r + n + k - 1], k)
+            dy_band = dy[:, r : r + n].reshape(f, -1)
+            for lo in range(0, cols.shape[1], DW_BLOCK):
+                dw = dw + cols[:, lo : lo + DW_BLOCK] @ dy_band[:, lo : lo + DW_BLOCK].T
+            del cols  # before the next band's are built
+        db = da.reshape(f, -1).sum(axis=1)
         dx = None
         if need_dx:
-            dcols = (self.w.reshape(f, -1).T @ dy).reshape(c, k, k, oh, ow * b)
-            dx = np.zeros((c, h, w * b), dtype=dcols.dtype)
-            for i in range(k):
-                for j in range(k):
-                    dx[:, i : i + oh, j * b : (j + ow) * b] += dcols[:, i, j]
+            wt = self.w.reshape(f, -1).T
+            dx = np.zeros((c, h, w * b), dtype=np.result_type(wt, dy))
+            for r, n in reversed(bands):
+                dcols = (wt @ dy[:, r : r + n].reshape(f, -1)).reshape(c, k, k, n, ow * b)
+                for i in range(k):
+                    for j in range(k):
+                        dx[:, r + i : r + i + n, j * b : (j + ow) * b] += dcols[:, i, j]
+                del dcols  # likewise
             dx = dx.reshape(c, h, w, b)
+        dw = dw.T.reshape(self.w.shape)
         return dx, {"w": dw.astype(self.w.dtype), "b": db.astype(self.b.dtype)}
 
 
@@ -167,11 +194,17 @@ class BatchNorm:
         n = xhat.shape[1]
         dgamma = np.einsum("cn,cn->c", dy, xhat)
         dbeta = dy.sum(axis=1)
-        dx = xhat * (-dgamma / n)[:, None]
-        dx += dy
-        dx -= (dbeta / n)[:, None]
-        dx *= (self.gamma * inv)[:, None]
-        return dx.reshape(shape).astype(da.dtype, copy=False), {
+        # dx overwrites dy, a chunk of columns at a time
+        scale, shift = (-dgamma / n)[:, None], (dbeta / n)[:, None]
+        gain = (self.gamma * inv)[:, None]
+        step = max(1, BAND_BYTES // (len(xhat) * xhat.itemsize))
+        for lo in range(0, n, step):
+            dx = xhat[:, lo : lo + step] * scale
+            dx += dy[:, lo : lo + step]
+            dx -= shift
+            dx *= gain
+            dy[:, lo : lo + step] = dx
+        return dy.reshape(shape), {
             "gamma": dgamma.astype(self.gamma.dtype),
             "beta": dbeta.astype(self.beta.dtype),
         }
@@ -188,7 +221,7 @@ class ReLU:
         return a * mask, mask
 
     def backward(self, da, cache, need_dx=True):
-        return da * cache, {}
+        return np.multiply(da, cache, out=da), {}
 
 
 class MaxPool2x2:
@@ -198,7 +231,11 @@ class MaxPool2x2:
     Backward routes each window's gradient to its first maximal cell in
     row-major order, (0,0), (0,1), (1,0), (1,1), and to no other: ties, such
     as the all-zero windows left by ReLU, send the gradient to one cell only.
+    A training forward caches that cell as a one-byte code 0-3 per window,
+    not its input and output.
     """
+
+    quadrants = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self, name="pool"):
         self.name = name
@@ -209,19 +246,25 @@ class MaxPool2x2:
             raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
         y = np.maximum(np.maximum(a[:, 0::2, 0::2], a[:, 0::2, 1::2]),
                        np.maximum(a[:, 1::2, 0::2], a[:, 1::2, 1::2]))
-        return y, ((a, y) if training else None)
+        if not training:
+            return y, None
+        # code = the number of leading quadrants below the maximum: a running
+        # product of "below" flags, summed
+        below = np.not_equal(a[:, 0::2, 0::2], y).view(np.uint8)
+        code = below.copy()
+        hit = np.empty(y.shape, dtype=bool)
+        for i, j in self.quadrants[1:3]:
+            below &= np.not_equal(a[:, i::2, j::2], y, out=hit)
+            code += below
+        return y, code
 
     def backward(self, da, cache, need_dx=True):
-        a, y = cache
-        dx = np.empty(a.shape, dtype=da.dtype)
-        hit = np.equal(a[:, 0::2, 0::2], y)
-        np.multiply(da, hit, out=dx[:, 0::2, 0::2])
-        free = ~hit  # windows whose maximum is unclaimed
-        for i, j in ((0, 1), (1, 0), (1, 1)):
-            np.equal(a[:, i::2, j::2], y, out=hit)
-            hit &= free
-            np.multiply(da, hit, out=dx[:, i::2, j::2])
-            free ^= hit  # hit lies within free
+        code = cache
+        c, h, w, b = code.shape
+        dx = np.empty((c, 2 * h, 2 * w, b), dtype=da.dtype)
+        hit = np.empty(code.shape, dtype=bool)
+        for q, (i, j) in enumerate(self.quadrants):
+            np.multiply(da, np.equal(code, q, out=hit), out=dx[:, i::2, j::2])
         return dx, {}
 
 

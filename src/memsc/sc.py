@@ -76,9 +76,6 @@ class BitStream:
     def popcount(self) -> int:
         return int(np.count_nonzero(self.bits))
 
-    def same_bits(self, other: "BitStream") -> bool:
-        return self.priori is other.priori and np.array_equal(self.bits, other.bits)
-
     def __len__(self):
         return self.bits.size
 

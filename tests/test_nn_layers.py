@@ -5,6 +5,8 @@ float64); analytic gradients must match within 1e-3 relative error in the
 norm-ratio metric.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -725,3 +727,86 @@ def test_training_leaves_inputs_unchanged(batch):
         assert same_bits(dy, dy_in), layer.name
         assert not np.shares_memory(dy, dx), layer.name
         x = y
+
+
+# ---------------------------------------------------------------------------
+# what a training step holds: backward leaves its cache intact, pooling
+# caches a one-byte code, and a convolution builds its columns in bands
+# ---------------------------------------------------------------------------
+
+def cache_arrays(cache):
+    return [a for a in (cache if isinstance(cache, tuple) else (cache,))
+            if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("layer, shape", [
+    (Conv2d("conv", 2, 3, 5, RngState(51).split("conv")), (2, 16, 16, 256)),  # 4 bands
+    (BatchNorm("bn4", 3), (3, 6, 6, 8)),
+    (BatchNorm("bn2", 5), (5, 8)),
+    (ReLU(), (3, 6, 6, 8)),
+    (MaxPool2x2(), (3, 6, 6, 8)),
+    (Flatten(), (3, 2, 2, 8)),
+    (Linear("fc", 12, 4, RngState(52).split("fc")), (12, 8)),
+], ids=["conv", "bn-4d", "bn-2d", "relu", "pool", "flatten", "linear"])
+def test_backward_may_overwrite_da_but_not_its_cache(layer, shape):
+    gen = np.random.default_rng(53)
+    x = np.maximum(gen.normal(size=shape), 0.0).astype(np.float32)  # ReLU'd: ties in pooling
+    y, cache = layer.forward(x, training=True)
+    held = [a.copy() for a in cache_arrays(cache)]
+    da = gen.normal(size=y.shape).astype(np.float32)
+    first_dx, first_grads = layer.backward(da.copy(), cache)
+    second_dx, second_grads = layer.backward(da.copy(), cache)
+    assert same_bits(first_dx, second_dx)
+    assert first_grads.keys() == second_grads.keys()
+    assert all(same_bits(first_grads[k], second_grads[k]) for k in first_grads)
+    assert all(same_bits(a, b) for a, b in zip(cache_arrays(cache), held))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_maxpool_routes_quantized_relu_ties_to_first_maximum(batch):
+    # three levels after ReLU make most windows tie, in every arrangement
+    gen = np.random.default_rng([54, batch])
+    x = (np.clip(np.round(gen.normal(size=(4, 8, 10, batch))), 0, 2) * 0.5).astype(np.float32)
+    pool = MaxPool2x2()
+    y, code = pool.forward(x, training=True)
+    assert code.dtype == np.uint8 and code.shape == y.shape
+    dy = (gen.integers(1, 10, size=y.shape) * gen.choice([-1, 1], y.shape)).astype(np.float32)
+    dx, _ = pool.backward(dy.copy(), code)
+    expected = np.empty_like(x)
+    for c, r, s, b in np.ndindex(*y.shape):
+        window = x[c, 2 * r : 2 * r + 2, 2 * s : 2 * s + 2, b]
+        assert y[c, r, s, b] == window.max()
+        first = next(idx for idx in np.ndindex(2, 2) if window[idx] == window.max())
+        for i, j in np.ndindex(2, 2):
+            # dy * 0 on the other cells: -0.0 where dy < 0, as the layer gives
+            expected[c, 2 * r + i, 2 * s + j, b] = dy[c, r, s, b] * ((i, j) == first)
+    assert same_bits(dx, expected)
+    assert np.count_nonzero(dx) == dy.size
+
+
+@pytest.mark.parametrize("in_ch, out_ch, size", [(1, 10, 28), (10, 20, 12)],
+                         ids=["conv1", "conv2"])
+def test_conv2d_call_holds_under_half_its_columns(in_ch, out_ch, size):
+    # the table1 conv shapes at batch 256: beyond the arrays it returns, a
+    # forward or backward call holds under half of the layer's whole
+    # (C*k*k, OH*OW*B) float32 columns at its peak; building them whole
+    # holds all of them
+    gen = np.random.default_rng(55)
+    layer = Conv2d("c", in_ch, out_ch, 5, RngState(56).split("c"))
+    a = gen.uniform(0.0, 1.0, size=(in_ch, size, size, 256)).astype(np.float32)
+    column_bytes = in_ch * 25 * (size - 4) ** 2 * 256 * 4
+
+    def transient_peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - returned
+
+    (y, cache), forward_bytes = transient_peak(lambda: layer.forward(a, training=True))
+    da = gen.normal(size=y.shape).astype(np.float32)
+    _, backward_bytes = transient_peak(lambda: layer.backward(da, cache))
+    assert forward_bytes < 0.5 * column_bytes
+    assert backward_bytes < 0.5 * column_bytes

@@ -215,9 +215,9 @@ def test_encode_accepts_numpy_int_length():
 def test_determinism_same_seed_and_label():
     a = encode(0.37, 4096, Priori.UNIPOLAR, rng("det", 7))
     b = encode(0.37, 4096, Priori.UNIPOLAR, rng("det", 7))
-    assert a.same_bits(b)
+    assert a.priori is b.priori and np.array_equal(a.bits, b.bits)
     c = encode(0.37, 4096, Priori.UNIPOLAR, rng("det", 8))
-    assert not a.same_bits(c)
+    assert not np.array_equal(a.bits, c.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +228,11 @@ def test_xnor_identity_and_negation():
     b = encode(0.3, 512, Priori.BIPOLAR, rng("xn"))
     ones = BitStream(np.ones(512, bool), Priori.BIPOLAR)
     zeros = BitStream(np.zeros(512, bool), Priori.BIPOLAR)
-    assert xnor_mul(ones, b).same_bits(b)
+    same = xnor_mul(ones, b)
+    assert same.priori is b.priori and np.array_equal(same.bits, b.bits)
     flipped = xnor_mul(zeros, b)
     assert decode(flipped) == -decode(b)
-    assert flipped.same_bits(negate(b))
+    assert flipped.priori is b.priori and np.array_equal(flipped.bits, negate(b).bits)
 
 
 def test_xnor_expectation():
@@ -266,7 +267,8 @@ def test_xnor_correlation_hazard():
 def test_scaled_add_identical_inputs_exact():
     a = encode(0.2, 300, Priori.BIPOLAR, rng("sa"))
     sel = encode(0.5, 300, Priori.UNIPOLAR, rng("ss"))
-    assert scaled_add(a, a, sel).same_bits(a)
+    out = scaled_add(a, a, sel)
+    assert out.priori is a.priori and np.array_equal(out.bits, a.bits)
 
 
 def test_scaled_add_expectations():
@@ -310,7 +312,8 @@ def test_negate_exact():
     for k in range(50):
         s = encode(np.sin(k), 257, Priori.BIPOLAR, rng("neg", k))
         assert decode(negate(s)) == -decode(s)
-        assert negate(negate(s)).same_bits(s)
+        twice = negate(negate(s))
+        assert twice.priori is s.priori and np.array_equal(twice.bits, s.bits)
         assert negate(s).popcount() == len(s) - s.popcount()
     with pytest.raises(ValueError):
         negate(encode(0.5, 64, Priori.UNIPOLAR, rng("negu")))
@@ -329,7 +332,8 @@ def test_negate_involution_property(triple):
     # lengths 1-200 take every residue mod 8 and mod 64, so partial words are covered
     bools, others, selects = triple
     s = BitStream(np.array(bools, dtype=bool), Priori.BIPOLAR)
-    assert negate(negate(s)).same_bits(s)
+    twice = negate(negate(s))
+    assert twice.priori is s.priori and np.array_equal(twice.bits, s.bits)
     assert decode(negate(s)) == pytest.approx(-decode(s), abs=0)
     # every operation against its per-position truth table
     t = BitStream(np.array(others, dtype=bool), Priori.BIPOLAR)
