@@ -40,7 +40,6 @@ from .sc import BitStream, Priori
 __all__ = [
     "TileConfig",
     "ArrayPlan",
-    "GenerationStats",
     "CostReport",
     "plan_array",
     "generate_stream",
@@ -102,16 +101,6 @@ class ArrayPlan:
 
 
 @dataclass(frozen=True)
-class GenerationStats:
-    """Bookkeeping from one in-array stream generation."""
-
-    on_count: int
-    phases: int
-    tiles: int
-    pulse_width_s: float
-
-
-@dataclass(frozen=True)
 class CostReport:
     """Areas (mm^2) and powers (W); calibrated powers sit beside raw Eq.-style values."""
 
@@ -143,8 +132,10 @@ def generate_stream(
     tile: TileConfig,
     rng: RngState,
     priori: Priori = Priori.BIPOLAR,
-) -> tuple[BitStream, GenerationStats]:
+) -> tuple[BitStream, float]:
     """Simulate in-array generation of an n_bit stream at on-probability target_p.
+
+    Returns the stream and the pulse width in seconds.
 
     A fixed-voltage pulse of width pulse_width_for(target_p) is applied to
     one active row in each tile of ``plan_array(n_bit, 1, tile)``; cells
@@ -163,9 +154,9 @@ def generate_stream(
     ``random(n_bit)`` uniforms, one per cell. Bit i is 1 iff its uniform
     lies below its cell's switching probability. Every cell switches
     independently, so the tiles and readout phases belong to the cost model
-    (``GenerationStats``, ``power_report``) only.
+    (``ArrayPlan``, ``power_report``) only.
     """
-    plan = plan_array(n_bit, 1, tile)  # validates n_bit
+    plan_array(n_bit, 1, tile)  # validates n_bit and tile
     width = pulse_width_for(target_p, device)  # validates target_p
     gen = rng.generator
     if device.cell_jitter > 0:
@@ -177,12 +168,7 @@ def generate_stream(
         t_cell = width
     u = gen.random(n_bit)
     p_cell = switch_probability(t_cell, device)
-    stream = BitStream(u < p_cell, priori)
-    stats = GenerationStats(
-        on_count=stream.popcount(), phases=plan.time_mux_steps,
-        tiles=plan.tiles_per_stream, pulse_width_s=width,
-    )
-    return stream, stats
+    return BitStream(u < p_cell, priori), width
 
 
 def _p_read_raw(n_bit: int, e: float) -> float:

@@ -68,16 +68,21 @@ def _columns(a, k):
 
 
 class Conv2d:
-    """Stride-1 valid convolution (cross-correlation) with bias."""
+    """Stride-1 valid convolution (cross-correlation), without bias.
+
+    Every convolution here feeds a BatchNorm, whose batch mean cancels any
+    per-channel shift, so a bias would get an exact gradient of 0 and beta
+    does its job (Ioffe & Szegedy 2015, section 3.2). A kernel that spans
+    its whole input map is a fully connected layer (LeNet-5's C5).
+    """
 
     def __init__(self, name, in_ch, out_ch, kernel, rng: RngState, dtype=np.float32):
         self.name = name
         self.kernel = kernel
         self.w = _uniform_init((out_ch, in_ch, kernel, kernel), rng, dtype)
-        self.b = np.zeros(out_ch, dtype=dtype)
 
     def params(self):
-        return {"w": self.w, "b": self.b}
+        return {"w": self.w}
 
     def _bands(self, a):
         """(first output row, row count) of each band of a (C, H, W, B) input, in order."""
@@ -95,7 +100,6 @@ class Conv2d:
         for r, n in self._bands(a):
             rows = y[:, r : r + n].reshape(len(y), -1)  # a view of y
             np.matmul(wm, _columns(a[:, r : r + n + k - 1], k), out=rows)
-        y += self.b[:, None, None]
         return y.reshape(-1, h - k + 1, w - k + 1, b), (a if training else None)
 
     def backward(self, da, cache, need_dx=True):
@@ -114,7 +118,6 @@ class Conv2d:
             for lo in range(0, cols.shape[1], DW_BLOCK):
                 dw = dw + cols[:, lo : lo + DW_BLOCK] @ dy_band[:, lo : lo + DW_BLOCK].T
             del cols  # before the next band's are built
-        db = da.reshape(f, -1).sum(axis=1)
         dx = None
         if need_dx:
             wt = self.w.reshape(f, -1).T
@@ -127,7 +130,7 @@ class Conv2d:
                 del dcols  # likewise
             dx = dx.reshape(c, h, w, b)
         dw = dw.T.reshape(self.w.shape)
-        return dx, {"w": dw.astype(self.w.dtype), "b": db.astype(self.b.dtype)}
+        return dx, {"w": dw.astype(self.w.dtype)}
 
 
 class BatchNorm:

@@ -2,8 +2,10 @@
 
 The full network takes 28x28 grayscale inputs through
 Conv(10,5x5) -> BN -> ReLU -> Pool -> Conv(20,5x5) -> BN -> ReLU -> Pool
--> FC(50) -> BN -> ReLU -> FC(10), with intermediate shapes
-(10,24,24), (10,12,12), (20,8,8), (20,4,4), (50), (10).
+-> Conv(50,4x4) -> BN -> ReLU -> FC(10), with intermediate shapes
+(10,24,24), (10,12,12), (20,8,8), (20,4,4), (50,1,1), (10).
+fc1, fully connected, is a bias-free convolution over pool2's whole map,
+as is every layer that feeds a BatchNorm; only the classifier is a Linear.
 
 A Network is the one place that converts layouts: it takes (B, C, H, W)
 batches and (B, classes) logit gradients, and hands its layers the
@@ -97,10 +99,10 @@ def table1_network(rng: RngState, dtype=np.float32) -> Network:
             BatchNorm("bn2", 20, dtype),
             ReLU("relu2"),
             MaxPool2x2("pool2"),
-            Flatten(),
-            Linear("fc1", 20 * 4 * 4, 50, rng.split("fc1"), dtype),
+            Conv2d("fc1", 20, 50, 4, rng.split("fc1"), dtype),
             BatchNorm("bn3", 50, dtype),
             ReLU("relu3"),
+            Flatten(),
             Linear("fc2", 50, 10, rng.split("fc2"), dtype),
         ],
         input_shape=(1, 28, 28),
@@ -115,10 +117,10 @@ def reduced_network(rng: RngState, dtype=np.float64) -> Network:
             BatchNorm("bn1", 3, dtype),
             ReLU("relu1"),
             MaxPool2x2("pool1"),
-            Flatten(),
-            Linear("fc1", 3 * 2 * 2, 6, rng.split("fc1"), dtype),
+            Conv2d("fc1", 3, 6, 2, rng.split("fc1"), dtype),
             BatchNorm("bn2", 6, dtype),
             ReLU("relu2"),
+            Flatten(),
             Linear("fc2", 6, 3, rng.split("fc2"), dtype),
         ],
         input_shape=(1, 6, 6),

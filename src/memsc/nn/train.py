@@ -44,6 +44,8 @@ class TrainProtocol:
             raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.eval_every is not None and (not is_int(self.eval_every) or self.eval_every < 0):
             raise ValueError(f"eval_every must be None or an int >= 0, got {self.eval_every!r}")
+        if not isinstance(self.run_id, str):
+            raise ValueError(f"run_id must be a str, got {self.run_id!r}")
 
     def resolved_eval_every(self) -> int:
         if self.eval_every is None:

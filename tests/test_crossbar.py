@@ -6,7 +6,6 @@ calibrated powers 43.0 / 40.6 / 167 uW within 3%.
 """
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,6 @@ from memsc.crossbar import (
     SENSE_AMP_AREA_MM2,
     XNOR_AREA_MM2,
     ArrayPlan,
-    GenerationStats,
     TileConfig,
     generate_stream,
     plan_array,
@@ -179,9 +177,6 @@ def test_plan_and_reports_are_frozen():
         plan.tile = TileConfig(cols=64)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cost(plan).total_area_mm2 = 0.0
-    _, gen_stats = generate_stream(0.3, 256, DeviceParams(), TileConfig(), RngState(4))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        gen_stats.on_count = 0
     # assignment would bypass __post_init__'s checks; replace re-runs them
     with pytest.raises(dataclasses.FrozenInstanceError):
         DeviceParams().cell_jitter = 0.6
@@ -198,20 +193,18 @@ def test_plan_and_reports_are_frozen():
 # ---------------------------------------------------------------------------
 
 def test_generate_stream_zero_probability():
-    stream, stats_ = generate_stream(0.0, 512, DeviceParams(), TileConfig(), RngState(5))
+    stream, width = generate_stream(0.0, 512, DeviceParams(), TileConfig(), RngState(5))
     assert stream.popcount() == 0
-    assert stats_.on_count == 0
-    assert stats_.phases == 2
+    assert width == 0.0
 
 
 def test_generate_stream_on_count_within_binomial_bound():
     # E(grad) = 0.5367 at 16 Kbit: 4-sigma binomial bound ~ 255 around 8793
     p, n = 0.5367, 16384
-    stream, stats_ = generate_stream(p, n, DeviceParams(), TileConfig(), RngState(17))
+    stream, width = generate_stream(p, n, DeviceParams(), TileConfig(), RngState(17))
     bound = 4 * np.sqrt(n * p * (1 - p))
-    assert abs(stats_.on_count - p * n) <= bound
-    assert stats_.tiles == 128
-    assert stats_.phases == 2
+    assert abs(stream.popcount() - p * n) <= bound
+    assert width == pulse_width_for(p, DeviceParams())
     assert len(stream) == n
 
 
@@ -220,6 +213,15 @@ def test_generate_stream_rejects_unreachable_probability():
         generate_stream(1.0, 128, DeviceParams(), TileConfig(), RngState(1))
     with pytest.raises(ValueError, match="nan"):
         generate_stream(float("nan"), 128, DeviceParams(), TileConfig(), RngState(1))
+
+
+@pytest.mark.parametrize("n_bit, tile, field", [
+    (0, TileConfig(), "n_bit"), (1.5, TileConfig(), "n_bit"), (128, "x", "tile"),
+])
+def test_generate_stream_rejects_bad_n_bit_or_tile(n_bit, tile, field):
+    # the stream is sized on plan_array(n_bit, 1, tile), which checks both
+    with pytest.raises(ValueError, match=field):
+        generate_stream(0.5, n_bit, DeviceParams(), tile, RngState(1))
 
 
 def test_generate_stream_matches_encode_distribution():
@@ -250,12 +252,7 @@ def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.
     bits = np.zeros(n_bit, dtype=bool)
     for cell in range(n_bit):
         bits[cell] = gen.random() < p_cell[cell]
-    stream = BitStream(bits, priori)
-    stats_ = GenerationStats(
-        on_count=stream.popcount(), phases=2, tiles=math.ceil(n_bit / tile.cols),
-        pulse_width_s=width,
-    )
-    return stream, stats_
+    return BitStream(bits, priori), width
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.6])
@@ -264,12 +261,12 @@ def reference_generate_stream(target_p, n_bit, device, tile, rng, priori=Priori.
 def test_generate_stream_bits_match_reference_loop(jitter, n_bit, p):
     device, tile = DeviceParams(cell_jitter=jitter), TileConfig()
     rng = RngState(31, ("pin", n_bit))
-    stream, stats_ = generate_stream(p, n_bit, device, tile, rng)
-    ref, ref_stats = reference_generate_stream(
+    stream, width = generate_stream(p, n_bit, device, tile, rng)
+    ref, ref_width = reference_generate_stream(
         p, n_bit, device, tile, RngState(31, ("pin", n_bit))
     )
     assert stream.priori is ref.priori and np.array_equal(stream.bits, ref.bits)
-    assert stats_ == ref_stats
+    assert width == ref_width
     # the call draws lognormal(n_bit) when jittered, then random(n_bit), and
     # nothing more from the stream it is given
     fresh = RngState(31, ("pin", n_bit)).generator

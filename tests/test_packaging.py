@@ -1,7 +1,8 @@
 """Every console entry point and every ``__all__`` name must resolve, every
 ``__all__`` name is read by the package or the benchmark unless it is a test
-oracle, the package imports nothing beyond the standard library and numpy,
-every parameter of an exported function is read, its dataclasses are frozen
+oracle, as is every public method and property of an exported class, the
+package imports nothing beyond the standard library and numpy, every
+parameter of an exported function is read, its dataclasses are frozen
 values, and each config's settings are the ones listed here."""
 
 import ast
@@ -9,6 +10,7 @@ import dataclasses
 import importlib
 import pkgutil
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -60,8 +62,8 @@ def test_module_exports_resolve():
     assert not missing, missing
 
 
-def test_exports_are_read_outside_tests():
-    # a public name only tests read is dead code unless it is an oracle
+def _names_read_outside_tests():
+    """Every name and attribute that src/ or bench/ loads."""
     read = set()
     for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -69,10 +71,36 @@ def test_exports_are_read_outside_tests():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_exports_are_read_outside_tests():
+    # a public name only tests read is dead code unless it is an oracle
+    read = _names_read_outside_tests()
     exported = {f"{m.__name__}.{name}": name
                 for m in _modules() for name in getattr(m, "__all__", ())}
     unread = sorted(full for full, name in exported.items() if name not in read)
     assert {exported[full] for full in unread} == TEST_ORACLES, unread
+
+
+def test_exported_class_methods_are_read_outside_tests():
+    # the check above reads __all__ names only, so a method or property that
+    # only tests call (BitStream.ones, zeros and same_bits were) passes it
+    read = _names_read_outside_tests()
+    checked, unread = 0, []
+    for m in _modules():
+        for cls_name in getattr(m, "__all__", ()):
+            cls = getattr(m, cls_name)
+            if not (isinstance(cls, type) and cls.__module__ == m.__name__):
+                continue
+            for name, attr in vars(cls).items():
+                if name.startswith("_") or not isinstance(
+                        attr, (property, staticmethod, classmethod, types.FunctionType)):
+                    continue
+                checked += 1
+                if name not in read:
+                    unread.append(f"{m.__name__}.{cls_name}.{name}")
+    assert checked > 10 and not unread, unread
 
 
 def test_exported_functions_read_every_parameter():
