@@ -85,8 +85,8 @@ def pulse_width_for(p: float, params: DeviceParams) -> float:
     Exact inverse of :func:`switch_probability`; the round trip holds to
     ~1e-16 relative. p = 1 is unreachable in finite time.
     """
-    if not p >= 0:
-        raise ValueError(f"probability {p} is negative or not a number")
+    if not (is_real(p) and p >= 0):
+        raise ValueError(f"probability {p!r} is negative or not a number")
     if p >= 1:
         raise ValueError(f"probability {p} unreachable with a finite pulse")
     return -params.tau_eff() * math.log1p(-p)

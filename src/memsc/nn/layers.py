@@ -1,17 +1,21 @@
 """Minimal tensor layers with exact analytic backprop.
 
 Activations live in one layout, batch-innermost: (C, H, W, B) or (F, B),
-the layout of Krizhevsky's cuda-convnet. Every layer has two methods on
-it: forward(a, training=False) -> (y, cache) and backward(da, cache,
-need_dx=True) -> (dx, grads), which takes the cache of a training forward.
-An evaluation forward returns cache None and may overwrite its input, so
-it is only handed arrays the caller owns; a training forward writes to no
-input, since its cache may hold it. Backward may overwrite da (ReLU and
-BatchNorm return dx in its buffer), so it too is only handed arrays the
-caller owns, but never writes to its cache: two backward calls on one
-cache with equal da give equal bits. Trainable layers publish their
-parameter arrays through params(). Convolutions are stride-1/no-padding
-and pooling is 2x2/stride-2, which is all the adopted architecture needs.
+the layout of Krizhevsky's cuda-convnet. There are five layer types, and
+each has two methods on it: forward(a, training=False) -> (y, cache) and
+backward(da, cache, need_dx=True) -> (dx, grads), which takes the cache
+of a training forward. BatchNorm aside, a forward computes the same
+output in both modes, and only what it caches differs. Linear reads a
+(C, H, W, B) map as (C*H*W, B) features in (c, h, w) order and returns
+dX in the map's shape. An evaluation forward returns cache None and may
+overwrite its input, so it is only handed arrays the caller owns; a
+training forward writes to no input, since its cache may hold it.
+Backward may overwrite da (ReLU and BatchNorm return dx in its buffer),
+so it too is only handed arrays the caller owns, but never writes to its
+cache: two backward calls on one cache with equal da give equal bits.
+Trainable layers publish their parameter arrays through params().
+Convolutions are stride-1/no-padding and pooling is 2x2/stride-2, which
+is all the adopted architecture needs.
 
 Convolution is im2col + GEMM (Chellapilla et al. 2006) on channel-major
 columns (C*k*k, OH*OW*B), whose row (c, i, j) is channel c shifted by
@@ -34,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..rng import RngState
 
-__all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Flatten", "Linear"]
+__all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Linear"]
 
 
 def _uniform_init(shape, rng: RngState, dtype):
@@ -218,10 +222,8 @@ class ReLU:
         self.name = name
 
     def forward(self, a, training=False):
-        if not training:
-            return np.maximum(a, 0, out=a), None
-        mask = a > 0
-        return a * mask, mask
+        y = np.maximum(a, 0, out=None if training else a)
+        return y, (y > 0 if training else None)
 
     def backward(self, da, cache, need_dx=True):
         return np.multiply(da, cache, out=da), {}
@@ -271,18 +273,6 @@ class MaxPool2x2:
         return dx, {}
 
 
-class Flatten:
-    def __init__(self, name="flatten"):
-        self.name = name
-
-    def forward(self, a, training=False):
-        # rows in (c, h, w) order
-        return a.reshape(-1, a.shape[-1]), (a.shape if training else None)
-
-    def backward(self, da, cache, need_dx=True):
-        return da.reshape(cache), {}
-
-
 class Linear:
     def __init__(self, name, in_features, out_features, rng: RngState, dtype=np.float32):
         self.name = name
@@ -295,12 +285,12 @@ class Linear:
     def forward(self, a, training=False):
         # x @ w.T on the (B, in) copy, not w @ a: the GEMM with swapped
         # operands rounds differently
-        x = np.ascontiguousarray(a.T)
-        return (x @ self.w.T + self.b).T, (x if training else None)
+        x = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+        return (x @ self.w.T + self.b).T, ((x, a.shape) if training else None)
 
     def backward(self, da, cache, need_dx=True):
-        x = cache
+        x, shape = cache
         dw = da @ x
         db = da.sum(axis=1)
-        dx = (da.T @ self.w).T if need_dx else None
+        dx = (da.T @ self.w).T.reshape(shape) if need_dx else None
         return dx, {"w": dw.astype(self.w.dtype), "b": db.astype(self.b.dtype)}

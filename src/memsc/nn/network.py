@@ -6,6 +6,7 @@ Conv(10,5x5) -> BN -> ReLU -> Pool -> Conv(20,5x5) -> BN -> ReLU -> Pool
 (10,24,24), (10,12,12), (20,8,8), (20,4,4), (50,1,1), (10).
 fc1, fully connected, is a bias-free convolution over pool2's whole map,
 as is every layer that feeds a BatchNorm; only the classifier is a Linear.
+fc2 reads fc1's (50, 1, 1) map directly.
 
 A Network is the one place that converts layouts: it takes (B, C, H, W)
 batches and (B, classes) logit gradients, and hands its layers the
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import RngState
-from .layers import BatchNorm, Conv2d, Flatten, Linear, MaxPool2x2, ReLU
+from .layers import BatchNorm, Conv2d, Linear, MaxPool2x2, ReLU
 
 __all__ = ["Network", "table1_network", "reduced_network"]
 
@@ -102,7 +103,6 @@ def table1_network(rng: RngState, dtype=np.float32) -> Network:
             Conv2d("fc1", 20, 50, 4, rng.split("fc1"), dtype),
             BatchNorm("bn3", 50, dtype),
             ReLU("relu3"),
-            Flatten(),
             Linear("fc2", 50, 10, rng.split("fc2"), dtype),
         ],
         input_shape=(1, 28, 28),
@@ -120,7 +120,6 @@ def reduced_network(rng: RngState, dtype=np.float64) -> Network:
             Conv2d("fc1", 3, 6, 2, rng.split("fc1"), dtype),
             BatchNorm("bn2", 6, dtype),
             ReLU("relu2"),
-            Flatten(),
             Linear("fc2", 6, 3, rng.split("fc2"), dtype),
         ],
         input_shape=(1, 6, 6),

@@ -131,6 +131,8 @@ def train(
                          f"fewer than one batch of {protocol.batch_size}")
     if len(test_set) == 0:
         raise ValueError("test set is empty")
+    if not net.params():
+        raise ValueError("network has no trainable tensors")
     root = RngState(protocol.seed)
     records = []
     velocities: dict[str, np.ndarray] = {}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import is_int
+from ._checks import is_int, is_real
 from .rng import RngState
 
 __all__ = [
@@ -82,6 +82,8 @@ class BitStream:
 
 def _priori_probability(value: float, priori: Priori) -> float:
     """Map a represented value to its per-bit one-probability."""
+    if not is_real(value):
+        raise ValueError(f"value must be a real number, got {value!r}")
     if priori is Priori.UNIPOLAR:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"unipolar value {value} outside [0, 1]")
@@ -245,6 +247,8 @@ def lfsr_stream(value: float, length: int, priori: Priori, lfsr: LfsrState) -> B
     Bit i is 1 iff word_i / 2**width < p. Over one full period of a
     maximal-length LFSR the popcount is within one bit of p * (2**width - 1).
     """
+    if not is_int(length) or length < 1:
+        raise ValueError(f"length must be an int >= 1, got {length!r}")
     p = _priori_probability(value, priori)
     threshold = p * (1 << lfsr.width)
     return BitStream(lfsr.words(length) < threshold, priori)

@@ -55,6 +55,13 @@ def test_pulse_width_trivials():
         pulse_width_for(float("nan"), params)
 
 
+@pytest.mark.parametrize("p", [False, True, "0.5", None])
+def test_pulse_width_rejects_non_real_probability(p):
+    # False would give a width of -0.0 s, a string fail in a comparison
+    with pytest.raises(ValueError, match="not a number"):
+        pulse_width_for(p, DeviceParams())
+
+
 def test_round_trip_identity():
     params = DeviceParams()
     for p in (0.01, 0.5, 0.99):

@@ -208,6 +208,15 @@ def test_encode_non_positive_int_length_rejected(length):
         encode(0.5, length, Priori.UNIPOLAR, rng("len"))
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_stream_generators_reject_non_real_value(value):
+    # a bool would encode as all ones or all zeros, a string fail in a comparison
+    with pytest.raises(ValueError, match="value must be a real number"):
+        encode(value, 8, Priori.BIPOLAR, rng("value"))
+    with pytest.raises(ValueError, match="value must be a real number"):
+        lfsr_stream(value, 8, Priori.BIPOLAR, LfsrState())
+
+
 def test_encode_accepts_numpy_int_length():
     assert len(encode(0.5, np.int64(13), Priori.UNIPOLAR, rng("len"))) == 13
 
@@ -441,8 +450,14 @@ def test_lfsr_non_int_count_rejected(count):
     # a bool length would give a 1-bit stream, a float one fail inside numpy
     with pytest.raises(ValueError, match="count"):
         LfsrState().words(count)
-    with pytest.raises(ValueError, match="count"):
+    with pytest.raises(ValueError, match="length"):
         lfsr_stream(0.5, count, Priori.UNIPOLAR, LfsrState())
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_lfsr_stream_non_positive_length_rejected(length):
+    with pytest.raises(ValueError, match=f"length must be an int >= 1, got {length}"):
+        lfsr_stream(0.5, length, Priori.UNIPOLAR, LfsrState())
 
 
 def stepped_words(lfsr, count):

@@ -10,6 +10,7 @@ import pytest
 
 from memsc import optimizer
 from memsc.nn import (
+    Network,
     TrainProtocol,
     evaluate,
     reduced_network,
@@ -17,6 +18,7 @@ from memsc.nn import (
     table1_network,
     train,
 )
+from memsc.nn.layers import MaxPool2x2
 from memsc.nn.train import EVAL_CHUNK
 from memsc.optimizer import OptimizerConfig
 from memsc.rng import RngState
@@ -247,6 +249,14 @@ def test_empty_test_set_rejected(blobs):
     with pytest.raises(ValueError, match="test set is empty"):
         train(net, train_set.subset(128), empty, OptimizerConfig(exec_mode="float"),
               TrainProtocol(batch_size=128))
+
+
+def test_network_without_trainable_tensors_rejected():
+    # the step's E averages over every trained element, of which there are none
+    digits = synthetic_dataset(8, seed=0, size=4)
+    net = Network([MaxPool2x2()], (1, 4, 4))
+    with pytest.raises(ValueError, match="no trainable tensors"):
+        train(net, digits, digits, OptimizerConfig(exec_mode="float"), TrainProtocol(batch_size=4))
 
 
 def test_evaluate_constant_predictor():
