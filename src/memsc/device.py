@@ -9,11 +9,10 @@ of one fabricated device, the module constants DEFAULT_V0 and
 DEFAULT_TAU0; the law at another voltage is the law of
 ``dataclasses.replace(params, v_prog=V)``. Inverting the expression gives
 the pulse width that realizes a target switching probability, which is how
-bit streams are programmed in-memory. The time-to-switch follows the
-exponential law of the same time constant, tau = tau0 * exp(-V / V0),
-reported for that device at 4.5 V (tau = 0.38 ms) as the histogram density
-P(t) = (DELTA_T / tau) * exp(-t / tau) with the fit's bin constant
-DELTA_T = 0.5.
+bit streams are programmed in-memory. P is the distribution function of
+an exponential time-to-switch with time constant
+tau = tau0 * exp(-V / V0) (``DeviceParams.tau_eff``), 0.38 ms for that
+device at 4.5 V.
 """
 
 from __future__ import annotations

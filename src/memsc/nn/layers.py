@@ -201,16 +201,18 @@ class BatchNorm:
         n = xhat.shape[1]
         dgamma = np.einsum("cn,cn->c", dy, xhat)
         dbeta = dy.sum(axis=1)
-        # dx overwrites dy, a chunk of columns at a time
+        # dx overwrites dy a chunk of columns at a time, each chunk computed
+        # in one buffer
         scale, shift = (-dgamma / n)[:, None], (dbeta / n)[:, None]
         gain = (self.gamma * inv)[:, None]
         step = max(1, BAND_BYTES // (len(xhat) * xhat.itemsize))
+        buf = np.empty((len(xhat), min(step, n)), dtype=np.result_type(xhat, scale))
         for lo in range(0, n, step):
-            dx = xhat[:, lo : lo + step] * scale
+            dx = buf[:, : n - lo]  # the last chunk may be partial
+            np.multiply(xhat[:, lo : lo + step], scale, out=dx)
             dx += dy[:, lo : lo + step]
             dx -= shift
-            dx *= gain
-            dy[:, lo : lo + step] = dx
+            np.multiply(dx, gain, out=dy[:, lo : lo + step])
         return dy.reshape(shape), {
             "gamma": dgamma.astype(self.gamma.dtype),
             "beta": dbeta.astype(self.beta.dtype),
@@ -235,7 +237,8 @@ class MaxPool2x2:
     The output is the elementwise maximum of the four stride-2 quadrants.
     Backward routes each window's gradient to its first maximal cell in
     row-major order, (0,0), (0,1), (1,0), (1,1), and to no other: ties, such
-    as the all-zero windows left by ReLU, send the gradient to one cell only.
+    as the constant windows of a flat patch of image, send the gradient to
+    one cell only.
     A training forward caches that cell as a one-byte code 0-3 per window,
     not its input and output.
     """
@@ -249,8 +252,8 @@ class MaxPool2x2:
         h, w = a.shape[1:3]
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-        y = np.maximum(np.maximum(a[:, 0::2, 0::2], a[:, 0::2, 1::2]),
-                       np.maximum(a[:, 1::2, 0::2], a[:, 1::2, 1::2]))
+        y = np.maximum(a[:, 0::2, 0::2], a[:, 0::2, 1::2])
+        np.maximum(y, np.maximum(a[:, 1::2, 0::2], a[:, 1::2, 1::2]), out=y)
         if not training:
             return y, None
         # code = the number of leading quadrants below the maximum: a running

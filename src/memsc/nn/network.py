@@ -1,9 +1,13 @@
 """Network container and the adopted CNN architecture.
 
 The full network takes 28x28 grayscale inputs through
-Conv(10,5x5) -> BN -> ReLU -> Pool -> Conv(20,5x5) -> BN -> ReLU -> Pool
+Conv(10,5x5) -> BN -> Pool -> ReLU -> Conv(20,5x5) -> BN -> Pool -> ReLU
 -> Conv(50,4x4) -> BN -> ReLU -> FC(10), with intermediate shapes
 (10,24,24), (10,12,12), (20,8,8), (20,4,4), (50,1,1), (10).
+Each pool comes before its ReLU, which then runs on a quarter of the
+elements. The order moves no bit: relu(max(a)) = max(relu(a)), a window
+with a positive maximum sends its gradient to the same first maximal
+cell either way, and one without sends none.
 fc1, fully connected, is a bias-free convolution over pool2's whole map,
 as is every layer that feeds a BatchNorm; only the classifier is a Linear.
 fc2 reads fc1's (50, 1, 1) map directly.
@@ -94,12 +98,12 @@ def table1_network(rng: RngState, dtype=np.float32) -> Network:
         [
             Conv2d("conv1", 1, 10, 5, rng.split("conv1"), dtype),
             BatchNorm("bn1", 10, dtype),
-            ReLU("relu1"),
             MaxPool2x2("pool1"),
+            ReLU("relu1"),
             Conv2d("conv2", 10, 20, 5, rng.split("conv2"), dtype),
             BatchNorm("bn2", 20, dtype),
-            ReLU("relu2"),
             MaxPool2x2("pool2"),
+            ReLU("relu2"),
             Conv2d("fc1", 20, 50, 4, rng.split("fc1"), dtype),
             BatchNorm("bn3", 50, dtype),
             ReLU("relu3"),
@@ -115,8 +119,8 @@ def reduced_network(rng: RngState, dtype=np.float64) -> Network:
         [
             Conv2d("conv1", 1, 3, 3, rng.split("conv1"), dtype),
             BatchNorm("bn1", 3, dtype),
-            ReLU("relu1"),
             MaxPool2x2("pool1"),
+            ReLU("relu1"),
             Conv2d("fc1", 3, 6, 2, rng.split("fc1"), dtype),
             BatchNorm("bn2", 6, dtype),
             ReLU("relu2"),

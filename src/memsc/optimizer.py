@@ -72,8 +72,9 @@ class OptimizerConfig:
             raise ValueError(f"eta must be a real in (0, 1], got {self.eta!r}")
         if not (is_real(self.gamma) and 0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must be a real in [0, 1), got {self.gamma!r}")
-        if not is_int(self.n_bit) or self.n_bit < 1:
-            raise ValueError(f"n_bit must be an int >= 1, got {self.n_bit!r}")
+        # the binomial law draws its popcount with an int64 trial count
+        if not is_int(self.n_bit) or not 1 <= self.n_bit <= np.iinfo(np.int64).max:
+            raise ValueError(f"n_bit must be an int in [1, 2**63 - 1], got {self.n_bit!r}")
 
 
 def _clamp_unit(x):

@@ -14,7 +14,7 @@ import pytest
 from memsc.nn import TrainProtocol, layers, synthetic_dataset, train
 from memsc.nn.layers import DW_BLOCK, BatchNorm, Conv2d, Linear, MaxPool2x2, ReLU
 from memsc.nn.loss import cross_entropy
-from memsc.nn.network import reduced_network, table1_network
+from memsc.nn.network import Network, reduced_network, table1_network
 from memsc.optimizer import OptimizerConfig
 from memsc.rng import RngState
 
@@ -346,7 +346,8 @@ def test_conv_pool_size_arithmetic():
     x = np.zeros((1, 1, 28, 28), dtype=np.float32)
     y, _ = row_major_forward(net.layers[0], x)
     assert y.shape[-1] == 28 - 4
-    p, _ = row_major_forward(net.layers[3], y)
+    pool1 = next(layer for layer in net.layers if layer.name == "pool1")
+    p, _ = row_major_forward(pool1, y)
     assert p.shape[-1] == 12
 
 
@@ -834,3 +835,89 @@ def test_conv2d_call_holds_under_half_its_columns(in_ch, out_ch, size):
     _, backward_bytes = transient_peak(lambda: layer.backward(da, cache))
     assert forward_bytes < 0.5 * column_bytes
     assert backward_bytes < 0.5 * column_bytes
+
+
+# ---------------------------------------------------------------------------
+# pooling before ReLU: the builders' order gives the bits of ReLU before pooling
+# ---------------------------------------------------------------------------
+
+def relu_before_pool(net):
+    """A Network over net's layer objects with each ReLU moved back in front of its pool."""
+    order = list(net.layers)
+    pools = [i for i, layer in enumerate(order) if isinstance(layer, MaxPool2x2)]
+    for i in pools:
+        assert isinstance(order[i + 1], ReLU)
+        order[i], order[i + 1] = order[i + 1], order[i]
+    return Network(order, net.input_shape)
+
+
+def tie_windows(a):
+    """Counts of 2x2 windows of a (C, H, W, B) map: all negative, maximum exactly 0,
+    and a positive maximum held by more than one cell."""
+    quads = np.stack([a[:, i::2, j::2] for i, j in MaxPool2x2.quadrants])
+    top = quads.max(axis=0)
+    repeated = (quads == top).sum(axis=0) > 1
+    return (int((top < 0).sum()), int((top == 0).sum()), int((repeated & (top > 0)).sum()))
+
+
+@pytest.mark.parametrize("build, batch", [(table1_network, 8), (reduced_network, 16)])
+def test_pool_before_relu_gives_the_bits_of_relu_before_pool(build, batch):
+    net = build(RngState(60))
+    old = relu_before_pool(net)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            # channel 0 is exactly 0, channel 1 negative, channel 2 positive
+            layer.gamma[:3] = (0.0, 0.1, 0.1)
+            layer.beta[:3] = (0.0, -1.0, 1.0)
+    gen = np.random.default_rng([61, batch])
+    dtype = net.layers[0].w.dtype
+    x = gen.uniform(0.0, 1.0, size=(batch,) + net.input_shape).astype(dtype)
+    x[: batch // 4] = 1.0  # flat images: every window of their maps ties
+    x[batch // 4 : batch // 2] = 0.0
+    labels = gen.integers(0, net.layers[-1].w.shape[0], size=batch)
+
+    # every pool sees all three kinds of tie, in evaluation here
+    a = np.moveaxis(x, 0, -1).copy()
+    for layer in net.layers:
+        if isinstance(layer, MaxPool2x2):
+            assert min(tie_windows(a)) > 0, layer.name
+        a, _ = layer.forward(a, training=False)
+
+    assert same_bits(net.forward(x)[0], old.forward(x)[0])
+    steps = []
+    for stack in (net, old):  # BatchNorm's running statistics do not enter a training step
+        logits, caches = stack.forward(x, training=True)
+        grads = stack.backward(caches, cross_entropy(logits, labels)[1])
+        steps.append((logits, grads))
+    (logits, grads), (old_logits, old_grads) = steps
+    assert same_bits(logits, old_logits)
+    assert grads.keys() == old_grads.keys()
+    assert all(same_bits(grads[k], old_grads[k]) for k in grads)
+
+
+def test_batchnorm_backward_works_in_one_chunk_buffer():
+    # three BAND_BYTES chunks of columns, the last one partial
+    c = 3
+    step = layers.BAND_BYTES // (c * 8)
+    n = 2 * step + 37
+    bn = BatchNorm("bn", c, dtype=np.float64)
+    gen = np.random.default_rng(62)
+    bn.gamma[...] = gen.uniform(0.5, 2.0, c)
+    _, cache = bn.forward(gen.normal(1.0, 2.0, size=(c, n)), training=True)
+    da = gen.normal(size=(c, n))
+    xhat, inv, _ = cache
+    # the closed form over the whole array, in the layer's operation order
+    dgamma, dbeta = np.einsum("cn,cn->c", da, xhat), da.sum(axis=1)
+    want = xhat * (-dgamma / n)[:, None]
+    want += da
+    want -= (dbeta / n)[:, None]
+    want *= (bn.gamma * inv)[:, None]
+    tracemalloc.start()
+    try:
+        dx, grads = bn.backward(da, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(dx, want) and np.shares_memory(dx, da)
+    assert same_bits(grads["gamma"], dgamma) and same_bits(grads["beta"], dbeta)
+    assert peak <= 1.25 * c * step * 8

@@ -122,6 +122,23 @@ def test_config_is_frozen():
     assert dataclasses.replace(c, exec_mode="float").exec_mode == "float"
 
 
+def test_n_bit_spans_the_int64_binomial_draw():
+    # 2**63 passed the config and then raised numpy's OverflowError at the
+    # first binomial update
+    with pytest.raises(ValueError, match="n_bit"):
+        cfg(n_bit=2**63)
+    params, grads, velocity = np.linspace(-0.9, 0.9, 7), np.linspace(-2.0, 2.0, 7), np.zeros(7)
+    for mode in ("sgd", "momentum"):
+        c = cfg(mode=mode, n_bit=2**63 - 1)
+        new, new_v, _ = update_tensor(params, grads, c, rng("int64", mode), velocity)
+        want, want_v, _ = update_tensor(params, grads, dataclasses.replace(c, exec_mode="float"),
+                                        rng("int64", mode), velocity)
+        # the doubled decode's sigma is under 1e-9 at this length
+        np.testing.assert_allclose(new, want, rtol=0, atol=1e-8)
+        if mode == "momentum":
+            np.testing.assert_allclose(new_v, want_v, rtol=0, atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # bit-exact SGD datapath
 # ---------------------------------------------------------------------------

@@ -342,9 +342,11 @@ def test_training_step_memory_stays_near_one_set_of_activations():
     # the largest array of a step. The peak read 6.8x these bytes when a
     # step's caches lived through the next forward and conv caches held
     # the columns, and 2.8x when a step freed its caches and conv backward
-    # rebuilt the whole columns. It reads 1.6x now that conv builds one
-    # band of rows of columns at a time, ReLU and BatchNorm backward write
-    # into da, and pooling caches a one-byte code.
+    # rebuilt the whole columns, and 1.6x once conv built one band of rows
+    # of columns at a time, ReLU and BatchNorm backward wrote into da, and
+    # pooling cached a one-byte code. It reads 1.35x now that each pool
+    # comes before its ReLU and BatchNorm backward holds one chunk buffer;
+    # the peak sits in bn1's backward.
     train_set, test_set = synthetic_dataset(512, seed=14), synthetic_dataset(64, seed=15)
     net = table1_network(RngState(14))
     tracemalloc.start()
@@ -355,4 +357,4 @@ def test_training_step_memory_stays_near_one_set_of_activations():
     finally:
         tracemalloc.stop()
     conv1_cols_bytes = 25 * (24 * 24 * 256) * 4
-    assert peak <= 2.0 * conv1_cols_bytes
+    assert peak <= 1.5 * conv1_cols_bytes
