@@ -18,8 +18,7 @@ fixed calibration scalar, DEFAULT_KAPPA = 0.108, maps the raw value onto
 the published per-stream powers, and reports always carry both numbers.
 
 The macro's areas and cell powers are the published 40 nm figures, module
-constants rather than settings. A plan carries the tile it was sized on,
-so ``power_report`` reads the geometry from the plan alone.
+constants rather than settings.
 
 The paper puts its SC MAC (one XNOR and one MUX, 58 ps) at 1e5 times less
 area and 1e2 times less delay than a 16-bit binary MAC.
@@ -48,7 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_KAPPA = 0.108
-TILE_AREA_UM2 = 2.77e3
+TILE_COLS = 128                 # bits one active row yields
+TILE_AREA_UM2 = 2.77e3          # one TILE_COLS x TILE_COLS tile
 P_ON_W = 45e-9                  # LDMOS on-cell draw at 4.5 V
 P_OFF_W = 0.45e-9
 XNOR_AREA_MM2 = 0.031           # full multiplier datapath
@@ -58,28 +58,19 @@ SENSE_AMP_AREA_MM2 = 0.0267
 
 @dataclass(frozen=True)
 class TileConfig:
-    """Geometry of one RRAM tile: one active row yields ``cols`` bits."""
-
-    cols: int = 128
-
-    def __post_init__(self):
-        if not is_int(self.cols) or self.cols < 1:
-            raise ValueError(f"cols must be an int >= 1, got {self.cols!r}")
+    """One RRAM tile of TILE_COLS columns; its geometry is module constants."""
 
 
 @dataclass(frozen=True)
 class ArrayPlan:
-    """Tiles for n_streams parallel streams of n_bit bits each, on one tile design.
+    """Tiles for n_streams parallel streams of n_bit bits each.
 
     One active row per tile bounds a stream's per-tile contribution to
-    ``tile.cols`` bits; the total is doubled for the reset ping-pong. The
-    tile counts derive from (n_bit, n_streams, tile), so they cannot
-    disagree with the tile that ``power_report`` reads.
+    TILE_COLS bits; the total is doubled for the reset ping-pong.
     """
 
     n_bit: int
     n_streams: int
-    tile: TileConfig
     pingpong_factor: ClassVar[int] = 2  # reset tiles beside the generating ones
     time_mux_steps: ClassVar[int] = 2   # column-sharing sense phases
 
@@ -88,12 +79,10 @@ class ArrayPlan:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-        if not isinstance(self.tile, TileConfig):
-            raise ValueError(f"tile must be a TileConfig, got {self.tile!r}")
 
     @property
     def tiles_per_stream(self) -> int:
-        return -(-self.n_bit // self.tile.cols)
+        return -(-self.n_bit // TILE_COLS)
 
     @property
     def total_tiles(self) -> int:
@@ -120,9 +109,9 @@ class CostReport:
     calibration_kappa: float
 
 
-def plan_array(n_bit: int, n_streams: int, tile: TileConfig | None = None) -> ArrayPlan:
-    """The plan for n_streams streams of n_bit bits on ``tile`` (default ``TileConfig()``)."""
-    return ArrayPlan(n_bit, n_streams, tile if tile is not None else TileConfig())
+def plan_array(n_bit: int, n_streams: int) -> ArrayPlan:
+    """The plan for n_streams streams of n_bit bits each."""
+    return ArrayPlan(n_bit, n_streams)
 
 
 def generate_stream(
@@ -138,7 +127,7 @@ def generate_stream(
     Returns the stream and the pulse width in seconds.
 
     A fixed-voltage pulse of width pulse_width_for(target_p) is applied to
-    one active row in each tile of ``plan_array(n_bit, 1, tile)``; cells
+    one active row in each tile of ``plan_array(n_bit, 1)``; cells
     are read out in its ``time_mux_steps`` column-sharing phases. Every
     cell's probability comes from ``switch_probability``. With
     ``device.cell_jitter = 0`` the bits are i.i.d. Bernoulli(target_p).
@@ -156,7 +145,10 @@ def generate_stream(
     independently, so the tiles and readout phases belong to the cost model
     (``ArrayPlan``, ``power_report``) only.
     """
-    plan_array(n_bit, 1, tile)  # validates n_bit and tile
+    if not is_int(n_bit) or n_bit < 1:
+        raise ValueError(f"n_bit must be an int >= 1, got {n_bit!r}")
+    if not isinstance(tile, TileConfig):
+        raise ValueError(f"tile must be a TileConfig, got {tile!r}")
     width = pulse_width_for(target_p, device)  # validates target_p
     gen = rng.generator
     if device.cell_jitter > 0:

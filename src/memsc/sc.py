@@ -163,44 +163,34 @@ def negate(a: BitStream) -> BitStream:
 # ---------------------------------------------------------------------------
 
 # Width-16 feedback taps giving the full 2^16 - 1 period (XAPP052 tap table).
-DEFAULT_LFSR_TAPS = (16, 15, 13, 4)
+LFSR_WIDTH = 16
+LFSR_TAPS = (16, 15, 13, 4)  # 1-indexed; tap 16 makes every state recur
 
 
 @dataclass
 class LfsrState:
-    """Fibonacci LFSR over ``width`` bits; taps are 1-indexed positions.
+    """Fibonacci LFSR over LFSR_WIDTH bits with the LFSR_TAPS polynomial.
 
-    Width, register and every tap must be Python or numpy ints; they are
-    stored as Python ints.
+    The register must be a Python or numpy int; it is stored as a Python int.
     """
 
-    width: int = 16
-    taps: tuple = DEFAULT_LFSR_TAPS
     register: int = 0xACE1
 
     def __post_init__(self):
-        fields = (self.width, self.register, *self.taps)
-        if not all(is_int(f) for f in fields):
-            raise ValueError(f"width, register and taps must be ints, got {self!r}")
-        # numpy uint64 fields would not mix with words()'s int64 shift arrays
-        self.width, self.register, *taps = (int(f) for f in fields)
-        self.taps = tuple(taps)
-        if not 1 <= self.width <= 63:
-            raise ValueError(f"width must lie in [1, 63] so words fit int64, got {self.width}")
-        mask = (1 << self.width) - 1
-        self.register &= mask
+        if not is_int(self.register):
+            raise ValueError(f"register must be an int, got {self.register!r}")
+        # a numpy uint64 would not mix with words()'s int64 shift arrays
+        self.register = int(self.register) & ((1 << LFSR_WIDTH) - 1)
         if self.register == 0:
             raise ValueError("LFSR register must not be all-zero")
-        if not self.taps or any(t < 1 or t > self.width for t in self.taps):
-            raise ValueError(f"taps must lie in [1, {self.width}]")
 
     def step(self) -> int:
         """Return the current register word, then advance one shift."""
         word = self.register
         feedback = 0
-        for t in self.taps:
+        for t in LFSR_TAPS:
             feedback ^= (self.register >> (t - 1)) & 1
-        self.register = ((self.register << 1) | feedback) & ((1 << self.width) - 1)
+        self.register = ((self.register << 1) | feedback) & ((1 << LFSR_WIDTH) - 1)
         return word
 
     def words(self, count: int) -> np.ndarray:
@@ -210,15 +200,14 @@ class LfsrState:
         Each step shifts in a[j] = XOR_t a[j-t] for j >= w, and word i is
         the OR of a[w-1-b+i] << b. Over GF(2) the feedback polynomial obeys
         Q(x)^2 = Q(x^2), so by induction a[j] = XOR_t a[j - t*2^k] holds for
-        j >= w + (2^k - 1)*max(taps); the start condition needs the width,
-        not just 2^k*max(taps), whenever max(taps) < w. The sequence is
-        filled in blocks of min(taps)*2^k bits, one XOR of slices each,
-        raising k as soon as the condition allows. ``step()`` is the
-        one-step reference. The register is left after ``count`` steps.
+        j >= w + (2^k - 1)*max(taps). The sequence is filled in blocks of
+        min(taps)*2^k bits, one XOR of slices each, raising k as soon as the
+        condition allows. ``step()`` is the one-step reference. The register
+        is left after ``count`` steps.
         """
         if not is_int(count) or count < 0:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
-        w, taps = self.width, self.taps
+        w, taps = LFSR_WIDTH, LFSR_TAPS
         n = count + w
         a = np.empty(n, dtype=np.int64)
         a[:w] = (self.register >> np.arange(w - 1, -1, -1)) & 1
@@ -244,27 +233,25 @@ class LfsrState:
 def lfsr_stream(value: float, length: int, priori: Priori, lfsr: LfsrState) -> BitStream:
     """Generate a stream by comparing LFSR words against the target probability.
 
-    Bit i is 1 iff word_i / 2**width < p. Over one full period of a
-    maximal-length LFSR the popcount is within one bit of p * (2**width - 1).
+    Bit i is 1 iff word_i / 2**LFSR_WIDTH < p. Over one full period the
+    popcount is within one bit of p * (2**LFSR_WIDTH - 1).
     """
     if not is_int(length) or length < 1:
         raise ValueError(f"length must be an int >= 1, got {length!r}")
     p = _priori_probability(value, priori)
-    threshold = p * (1 << lfsr.width)
+    threshold = p * (1 << LFSR_WIDTH)
     return BitStream(lfsr.words(length) < threshold, priori)
 
 
 def lfsr_period(lfsr: LfsrState) -> int:
     """Number of steps until the register state recurs (full period check).
 
-    Maximal-length taps return 2**width - 1. Runs at most 2**width steps
-    and returns 2**width if the start state never recurs.
+    The maximal-length taps give 2**LFSR_WIDTH - 1.
     """
-    probe = LfsrState(lfsr.width, lfsr.taps, lfsr.register)
-    start = probe.register
-    limit = 1 << lfsr.width
-    for n in range(1, limit + 1):
+    probe = LfsrState(lfsr.register)
+    probe.step()
+    n = 1
+    while probe.register != lfsr.register:
         probe.step()
-        if probe.register == start:
-            return n
-    return limit
+        n += 1
+    return n

@@ -20,18 +20,20 @@ from memsc.crossbar import TileConfig
 from memsc.device import DeviceParams
 from memsc.nn.train import TrainProtocol
 from memsc.optimizer import OptimizerConfig
+from memsc.sc import LfsrState
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 # Public only so that tests can check against them: the one way real MNIST
 # enters, and the LFSR period.
 TEST_ORACLES = {"load_idx", "lfsr_period"}
-# Every setting of every config, in field order: a new setting edits this list.
+# Every setting of every config and the LFSR, in field order: a new setting edits this list.
 CONFIG_FIELDS = {
     OptimizerConfig: ("mode", "eta", "gamma", "n_bit", "exec_mode"),
     TrainProtocol: ("epochs", "batch_size", "seed", "eval_every", "run_id"),
-    TileConfig: ("cols",),
+    TileConfig: (),
     DeviceParams: ("v_prog", "cell_jitter"),
+    LfsrState: ("register",),
 }
 
 

@@ -18,7 +18,7 @@ from memsc.crossbar import TileConfig, generate_stream
 from memsc.device import DeviceParams
 from memsc.rng import RngState
 from memsc.sc import (
-    DEFAULT_LFSR_TAPS,
+    LFSR_WIDTH,
     BitStream,
     LfsrState,
     Priori,
@@ -402,40 +402,22 @@ def test_lfsr_default_taps_are_maximal():
     assert lfsr_period(LfsrState()) == (1 << 16) - 1
 
 
-def test_lfsr_corrupted_taps_short_period():
-    assert lfsr_period(LfsrState(taps=(16, 15))) < (1 << 16) - 1
-
-
 def test_lfsr_zero_register_rejected():
     with pytest.raises(ValueError):
         LfsrState(register=0)
 
 
-@pytest.mark.parametrize("width", [0, -3, 64])
-def test_lfsr_width_out_of_range_rejected(width):
-    with pytest.raises(ValueError, match="width"):
-        LfsrState(width=width, taps=(1,), register=1)
-
-
-@pytest.mark.parametrize("fields", [
-    {"width": 16.5},
-    {"width": True, "taps": (1,), "register": 1},
-    {"register": 3.5},
-    {"register": True},
-    {"taps": (16, 15.0, 13, 4)},
-    {"taps": (16, "15", 13, 4)},
-])
-def test_lfsr_non_int_fields_rejected(fields):
-    # a float would fail later inside << or words(), and a bool width pass as 1
-    with pytest.raises(ValueError, match="must be ints"):
-        LfsrState(**fields)
+@pytest.mark.parametrize("register", [3.5, True])
+def test_lfsr_non_int_register_rejected(register):
+    # a float would fail later inside << or words(), and a bool pass as 1
+    with pytest.raises(ValueError, match="register must be an int"):
+        LfsrState(register)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.uint64])
 def test_lfsr_accepts_numpy_int_fields(dtype):
-    # fields are stored as ints: uint64 does not mix with words()'s int64 arrays
-    taps = tuple(np.array(DEFAULT_LFSR_TAPS, dtype=dtype))
-    lfsr, ref = LfsrState(dtype(16), taps, dtype(0xACE1)), LfsrState()
+    # the register is stored as an int: uint64 does not mix with words()'s int64 arrays
+    lfsr, ref = LfsrState(dtype(0xACE1)), LfsrState()
     assert np.array_equal(lfsr.words(64), ref.words(64))
     assert lfsr.step() == ref.step()
 
@@ -466,35 +448,25 @@ def stepped_words(lfsr, count):
 
 @st.composite
 def lfsr_cases(draw):
-    width = draw(st.integers(min_value=1, max_value=12))
-    taps = draw(st.lists(st.integers(1, width), min_size=1, max_size=5))
-    register = draw(st.integers(min_value=1, max_value=(1 << width) - 1))
-    count = draw(st.integers(min_value=0, max_value=min(3 << width, 4096)))
+    register = draw(st.integers(min_value=1, max_value=(1 << LFSR_WIDTH) - 1))
+    count = draw(st.integers(min_value=0, max_value=4096))
     split = draw(st.integers(min_value=0, max_value=count))
-    return width, tuple(taps), register, count, split
+    return register, count, split
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=lfsr_cases())
 def test_lfsr_words_match_repeated_step(case):
-    width, taps, register, count, split = case
-    fast, slow = LfsrState(width, taps, register), LfsrState(width, taps, register)
+    register, count, split = case
+    fast, slow = LfsrState(register), LfsrState(register)
     words = fast.words(count)
     assert words.dtype == np.int64
     assert np.array_equal(words, stepped_words(slow, count))
     assert fast.register == slow.register
-    chained = LfsrState(width, taps, register)
+    chained = LfsrState(register)
     parts = np.concatenate([chained.words(split), chained.words(count - split)])
     assert np.array_equal(parts, words)
     assert chained.register == fast.register
-
-
-@pytest.mark.parametrize("width,taps", [(8, (5, 3)), (16, (7, 6))])
-def test_lfsr_words_largest_tap_below_width(width, taps):
-    # lag doubling may start only at j >= width + (2^k - 1) * max(taps)
-    fast, slow = LfsrState(width, taps), LfsrState(width, taps)
-    assert np.array_equal(fast.words(5000), stepped_words(slow, 5000))
-    assert fast.register == slow.register
 
 
 def test_lfsr_value_resolution():
