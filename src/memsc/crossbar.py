@@ -58,7 +58,7 @@ SENSE_AMP_AREA_MM2 = 0.0267
 
 @dataclass(frozen=True)
 class TileConfig:
-    """One RRAM tile of TILE_COLS columns; its geometry is module constants."""
+    """The one RRAM tile design; its geometry is TILE_COLS and TILE_AREA_UM2."""
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,20 @@ def _p_read_raw(n_bit: int, e: float) -> float:
 
 
 def power_report(plan: ArrayPlan, e_grad: float, e_weight: float) -> CostReport:
-    """Cost of the plan on its tile: areas plus calibrated and raw read powers.
+    """Cost of a two-stream plan: areas plus calibrated and raw read powers.
 
-    The area is the RRAM tiles plus the fixed peripheral blocks. Reported
-    per-stream powers are DEFAULT_KAPPA times the raw readout value; the
-    total doubles their sum for the reset tiles, and time multiplexing
-    halves the static-power ceiling.
+    The plan's two streams are the gradient and the weight streams, read at
+    on-cell probabilities e_grad and e_weight. The area is the RRAM tiles
+    plus the fixed peripheral blocks. Reported per-stream powers are
+    DEFAULT_KAPPA times the raw readout value; the total doubles their sum
+    for the reset tiles, and time multiplexing halves the static-power
+    ceiling.
     """
+    if not isinstance(plan, ArrayPlan):
+        raise ValueError(f"plan must be an ArrayPlan, got {plan!r}")
+    if plan.n_streams != 2:
+        raise ValueError(
+            f"plan must have n_streams = 2 (gradient and weight), got {plan.n_streams}")
     for name, e in (("e_grad", e_grad), ("e_weight", e_weight)):
         if not (is_real(e) and 0.0 <= e <= 1.0):
             raise ValueError(f"{name} must be an on-cell probability in [0, 1], got {e!r}")

@@ -29,6 +29,10 @@ class Dataset:
     labels: np.ndarray  # (N,) int64 in [0, 9]
 
     def __post_init__(self):
+        labels = self.labels
+        if not (isinstance(labels, np.ndarray) and labels.ndim == 1
+                and np.issubdtype(labels.dtype, np.integer)):
+            raise ValueError("labels must be a 1-D integer array")
         if len(self.images) != len(self.labels):
             raise ValueError(
                 f"image/label count mismatch: {len(self.images)} vs {len(self.labels)}"
@@ -87,6 +91,14 @@ def synthetic_dataset(n: int, seed: int, classes: int = 10, size: int = 28) -> D
     split, say) hold the same classes. ``seed`` draws the labels and each
     sample's intensity jitter and additive noise.
     """
+    if not is_int(n) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
+    if not is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    if not is_int(classes) or not 1 <= classes <= 10:
+        raise ValueError(f"classes must be an int in [1, 10], got {classes!r}")
+    if not is_int(size) or size < 1:
+        raise ValueError(f"size must be an int >= 1, got {size!r}")
     template_gen = np.random.default_rng(_TEMPLATE_SEED)
     yy, xx = np.mgrid[0:size, 0:size]
     templates = np.zeros((classes, size, size))

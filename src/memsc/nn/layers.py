@@ -41,6 +41,12 @@ from ..rng import RngState
 __all__ = ["Conv2d", "BatchNorm", "ReLU", "MaxPool2x2", "Linear"]
 
 
+def _check_dtype(dtype):
+    # an integer dtype would truncate the uniform init to all zeros
+    if not np.issubdtype(dtype, np.floating):
+        raise ValueError(f"dtype must be a floating type, got {dtype!r}")
+
+
 def _uniform_init(shape, rng: RngState, dtype):
     # uniform in [-s, s] with s = sqrt(1/fan_in) <= 1, fan_in the product of
     # the input dimensions, so inside the bipolar storage range [-1, 1]
@@ -81,6 +87,7 @@ class Conv2d:
     """
 
     def __init__(self, name, in_ch, out_ch, kernel, rng: RngState, dtype=np.float32):
+        _check_dtype(dtype)
         self.name = name
         self.kernel = kernel
         self.w = _uniform_init((out_ch, in_ch, kernel, kernel), rng, dtype)
@@ -161,6 +168,7 @@ class BatchNorm:
     eps = 1e-5
 
     def __init__(self, name, channels, dtype=np.float32):
+        _check_dtype(dtype)
         self.name = name
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
@@ -278,6 +286,7 @@ class MaxPool2x2:
 
 class Linear:
     def __init__(self, name, in_features, out_features, rng: RngState, dtype=np.float32):
+        _check_dtype(dtype)
         self.name = name
         self.w = _uniform_init((out_features, in_features), rng, dtype)
         self.b = np.zeros(out_features, dtype=dtype)

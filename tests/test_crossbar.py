@@ -151,6 +151,16 @@ def test_power_validation():
             power_report(plan, 0.5, bad)
 
 
+def test_power_report_rejects_plans_outside_its_model():
+    # a string raised AttributeError; one array reported a single array's
+    # RRAM beside the power of two, four arrays twice the RRAM beside it
+    with pytest.raises(ValueError, match="plan"):
+        power_report("x", 0.5, 0.5)
+    for n_streams in (1, 3, 4):
+        with pytest.raises(ValueError, match="n_streams"):
+            cost(plan_array(16384, n_streams))
+
+
 def test_plan_and_reports_are_frozen():
     plan = plan_array(16384, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):

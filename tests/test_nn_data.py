@@ -64,6 +64,22 @@ def test_dataset_label_range():
         Dataset(np.zeros((1, 1, 2, 2), dtype=np.float32), np.array([11]))
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([0.5, 1.0]), np.array([[0], [1]]), np.array([True, False]), [0, 1],
+], ids=["float", "column", "bool", "list"])
+def test_dataset_rejects_labels_that_are_not_1d_integers(labels):
+    # float labels failed later as indices inside cross_entropy
+    with pytest.raises(ValueError, match="labels"):
+        Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), labels)
+
+
+def test_truncated_header_rejected(tmp_path):
+    img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    img.write_bytes(img.read_bytes()[:10])
+    with pytest.raises(OSError, match="truncated IDX header"):
+        load_idx(img, lbl)
+
+
 def test_dataset_subset():
     ds = synthetic_dataset(50, seed=1)
     assert len(ds.subset(10)) == 10
@@ -83,6 +99,23 @@ def test_synthetic_dataset_deterministic():
     assert np.array_equal(a.labels, b.labels)
     c = synthetic_dataset(20, seed=10)
     assert not np.array_equal(a.images, c.images)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", -1), ("n", 2.0), ("n", True), ("seed", True), ("seed", 1.5), ("seed", -1),
+    ("classes", 0), ("classes", 11), ("classes", 2.0), ("size", 0), ("size", 8.0),
+])
+def test_synthetic_dataset_rejects_bad_arguments(name, value):
+    # seed=True drew seed 1's set; the rest raised numpy errors naming no argument
+    args = dict(n=4, seed=0) | {name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        synthetic_dataset(**args)
+
+
+def test_synthetic_dataset_accepts_numpy_ints():
+    a = synthetic_dataset(np.int64(6), seed=np.int64(2), classes=np.int32(3), size=np.int64(6))
+    b = synthetic_dataset(6, seed=2, classes=3, size=6)
+    assert np.array_equal(a.images, b.images) and np.array_equal(a.labels, b.labels)
 
 
 def test_synthetic_dataset_classes_shared_across_seeds():

@@ -340,6 +340,30 @@ def test_initial_weights_lie_in_bipolar_range(build):
             assert np.all(np.abs(p) <= 1.0), (seed, name)
 
 
+LAYER_BUILDERS = {
+    "Conv2d": lambda dtype: Conv2d("c", 1, 2, 3, RngState(0), dtype),
+    "Linear": lambda dtype: Linear("l", 4, 2, RngState(0), dtype),
+    "BatchNorm": lambda dtype: BatchNorm("b", 2, dtype),
+    "table1_network": lambda dtype: table1_network(RngState(0), dtype),
+    "reduced_network": lambda dtype: reduced_network(RngState(0), dtype),
+}
+
+
+@pytest.mark.parametrize("build", LAYER_BUILDERS.values(), ids=LAYER_BUILDERS.keys())
+@pytest.mark.parametrize("dtype", [np.int32, bool], ids=["int32", "bool"])
+def test_layers_reject_non_floating_dtype(build, dtype):
+    # an integer dtype truncated the uniform init: table1's weights all read 0
+    with pytest.raises(ValueError, match="dtype"):
+        build(dtype)
+
+
+@pytest.mark.parametrize("build", LAYER_BUILDERS.values(), ids=LAYER_BUILDERS.keys())
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_layers_build_at_floating_dtypes(build, dtype):
+    params = build(dtype).params().values()
+    assert params and all(p.dtype == dtype for p in params)
+
+
 def test_conv_pool_size_arithmetic():
     # stride-1 5x5 conv: out = in - 4; 2x2/2 pool halves spatial dims
     net = table1_network(RngState(1))

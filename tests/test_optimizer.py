@@ -413,6 +413,12 @@ def test_update_tensor_shape_mismatch():
         update_tensor(np.zeros(3), np.zeros(4), cfg(exec_mode="float"), rng("sm"))
 
 
+def test_update_tensor_velocity_shape_mismatch():
+    with pytest.raises(ValueError, match="velocity shape"):
+        update_tensor(np.zeros(3), np.zeros(3), cfg(mode="momentum", exec_mode="float"),
+                      rng("vs"), velocity=np.zeros(4))
+
+
 def test_update_tensor_binomial_matches_float_in_expectation():
     c = cfg(eta=0.2, n_bit=16384, exec_mode="binomial")
     params = np.full(4096, 0.1)

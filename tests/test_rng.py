@@ -47,6 +47,10 @@ def test_non_int_seeds_rejected(seed):
         RngState(seed)
 
 
+def test_repr_names_seed_and_labels():
+    assert repr(RngState(np.int64(3)).split("a", 2)) == "RngState(seed=3, labels=('a', 2))"
+
+
 def test_numpy_int_seed_is_stored_as_int():
     root = RngState(np.int64(3), ("a",))
     assert type(root.seed) is int and root.seed == 3

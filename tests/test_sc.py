@@ -292,6 +292,15 @@ def test_scaled_add_expectations():
     assert abs(decode(scaled_add(a, b, sel2)) - 0.5) <= 0.05
 
 
+def test_scaled_add_rejects_mixed_priori_and_select_length():
+    a = encode(0.5, 8, Priori.BIPOLAR, rng("mix", "a"))
+    b = encode(0.5, 8, Priori.UNIPOLAR, rng("mix", "b"))
+    with pytest.raises(ValueError, match="prioris differ"):
+        scaled_add(a, b, encode(0.5, 8, Priori.UNIPOLAR, rng("mix", "s")))
+    with pytest.raises(ValueError, match="select length 9 != operand length 8"):
+        scaled_add(a, a, encode(0.5, 9, Priori.UNIPOLAR, rng("mix", "s9")))
+
+
 def test_scaled_add_exhaustive_selection_small_n():
     # per-position multiplex semantics, exhaustive at N=4
     for abits, bbits, sbits in itertools.product(range(16), repeat=3):

@@ -19,7 +19,7 @@ from memsc.nn import (
     train,
 )
 from memsc.nn.layers import MaxPool2x2
-from memsc.nn.train import EVAL_CHUNK
+from memsc.nn.train import EVAL_CHUNK, MetricsLog, MetricsRecord
 from memsc.optimizer import OptimizerConfig
 from memsc.rng import RngState
 
@@ -249,6 +249,25 @@ def test_empty_test_set_rejected(blobs):
     with pytest.raises(ValueError, match="test set is empty"):
         train(net, train_set.subset(128), empty, OptimizerConfig(exec_mode="float"),
               TrainProtocol(batch_size=128))
+
+
+def test_non_finite_loss_stops_training_before_any_update():
+    digits = synthetic_dataset(8, seed=0, classes=3, size=6)
+    images = digits.images.copy()
+    images[3, 0, 2, 2] = np.nan
+    net = reduced_network(RngState(4))
+    before = {name: p.copy() for name, p in net.params().items()}
+    with pytest.raises(FloatingPointError, match="non-finite loss at step 1"):
+        train(net, dataclasses.replace(digits, images=images), digits,
+              OptimizerConfig(exec_mode="float"), TrainProtocol(batch_size=8))
+    assert all(np.array_equal(p, before[name]) for name, p in net.params().items())
+
+
+def test_final_accuracy_needs_a_logged_accuracy():
+    record = MetricsRecord("r", 1, 1, 2.3, None, 0.5, 0.0)
+    for log in (MetricsLog(), MetricsLog((record,))):
+        with pytest.raises(ValueError, match="no accuracy was logged"):
+            log.final_accuracy()
 
 
 def test_network_without_trainable_tensors_rejected():
