@@ -149,9 +149,6 @@ def test_power_validation():
             power_report(plan, bad, 0.5)
         with pytest.raises(ValueError, match="e_weight"):
             power_report(plan, 0.5, bad)
-
-
-def test_power_report_rejects_plans_outside_its_model():
     # a string raised AttributeError; one array reported a single array's
     # RRAM beside the power of two, four arrays twice the RRAM beside it
     with pytest.raises(ValueError, match="plan"):

@@ -50,6 +50,9 @@ def test_truncated_file_rejected(tmp_path):
     img, lbl = write_idx_pair(tmp_path, pixels, [0, 1], truncate_images=True)
     with pytest.raises(OSError, match="truncated"):
         load_idx(img, lbl)
+    img.write_bytes(img.read_bytes()[:10])
+    with pytest.raises(OSError, match="truncated IDX header"):
+        load_idx(img, lbl)
 
 
 def test_count_mismatch_rejected(tmp_path):
@@ -71,13 +74,6 @@ def test_dataset_rejects_labels_that_are_not_1d_integers(labels):
     # float labels failed later as indices inside cross_entropy
     with pytest.raises(ValueError, match="labels"):
         Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), labels)
-
-
-def test_truncated_header_rejected(tmp_path):
-    img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
-    img.write_bytes(img.read_bytes()[:10])
-    with pytest.raises(OSError, match="truncated IDX header"):
-        load_idx(img, lbl)
 
 
 def test_dataset_subset():

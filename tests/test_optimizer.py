@@ -411,9 +411,6 @@ def test_update_tensor_e_grad_stat_extremes():
 def test_update_tensor_shape_mismatch():
     with pytest.raises(ValueError):
         update_tensor(np.zeros(3), np.zeros(4), cfg(exec_mode="float"), rng("sm"))
-
-
-def test_update_tensor_velocity_shape_mismatch():
     with pytest.raises(ValueError, match="velocity shape"):
         update_tensor(np.zeros(3), np.zeros(3), cfg(mode="momentum", exec_mode="float"),
                       rng("vs"), velocity=np.zeros(4))

@@ -292,13 +292,11 @@ def test_scaled_add_expectations():
     assert abs(decode(scaled_add(a, b, sel2)) - 0.5) <= 0.05
 
 
-def test_scaled_add_rejects_mixed_priori_and_select_length():
+def test_scaled_add_rejects_mixed_priori():
     a = encode(0.5, 8, Priori.BIPOLAR, rng("mix", "a"))
     b = encode(0.5, 8, Priori.UNIPOLAR, rng("mix", "b"))
     with pytest.raises(ValueError, match="prioris differ"):
         scaled_add(a, b, encode(0.5, 8, Priori.UNIPOLAR, rng("mix", "s")))
-    with pytest.raises(ValueError, match="select length 9 != operand length 8"):
-        scaled_add(a, a, encode(0.5, 9, Priori.UNIPOLAR, rng("mix", "s9")))
 
 
 def test_scaled_add_exhaustive_selection_small_n():
@@ -319,6 +317,8 @@ def test_scaled_add_length_mismatch():
     sel = encode(0.5, 64, Priori.UNIPOLAR, rng("m3"))
     with pytest.raises(ValueError):
         scaled_add(a, b, sel)
+    with pytest.raises(ValueError, match="select length 64 != operand length 32"):
+        scaled_add(b, b, sel)
 
 
 # ---------------------------------------------------------------------------
