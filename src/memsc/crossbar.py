@@ -15,7 +15,8 @@ with E the mean on-cell probability of the array. Evaluated literally with
 the published constants this yields ~399 uW per gradient stream, not the
 published 43.0 uW; no bridging duty-cycle assumption is published. One
 fixed calibration scalar, DEFAULT_KAPPA = 0.108, maps the raw value onto
-the published per-stream powers, and reports always carry both numbers.
+the published per-stream powers, and reports always carry both the raw and
+the calibrated powers.
 
 The macro's areas and cell powers are the published 40 nm figures, module
 constants rather than settings.
@@ -104,9 +105,6 @@ class CostReport:
     p_read_weight_w: float
     total_power_w: float
     static_power_cap_w: float
-    e_grad_stat: float
-    e_weight_stat: float
-    calibration_kappa: float
 
 
 def plan_array(n_bit: int, n_streams: int) -> ArrayPlan:
@@ -205,7 +203,4 @@ def power_report(plan: ArrayPlan, e_grad: float, e_weight: float) -> CostReport:
         p_read_weight_w=p_weight,
         total_power_w=total,
         static_power_cap_w=total / plan.time_mux_steps,
-        e_grad_stat=e_grad,
-        e_weight_stat=e_weight,
-        calibration_kappa=DEFAULT_KAPPA,
     )

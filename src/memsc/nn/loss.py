@@ -15,9 +15,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if logits.ndim != 2 or logits.shape[0] != len(labels):
         raise ValueError(f"logits {logits.shape} inconsistent with {len(labels)} labels")
     b, classes = logits.shape
-    if labels.min() < 0 or labels.max() >= classes:
-        bad = labels[(labels < 0) | (labels >= classes)]
-        raise ValueError(f"labels {bad.tolist()} lie outside [0, {classes})")
+    check_labels(labels, classes)
     z = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
@@ -26,3 +24,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
     return loss, dlogits.astype(logits.dtype)
+
+
+def check_labels(labels: np.ndarray, classes: int):
+    """Reject labels that are not an integer array in [0, classes)."""
+    if not (isinstance(labels, np.ndarray) and np.issubdtype(labels.dtype, np.integer)):
+        raise ValueError(f"labels must be an integer array, got {labels!r}")
+    if labels.min() < 0 or labels.max() >= classes:
+        bad = labels[(labels < 0) | (labels >= classes)]
+        raise ValueError(f"labels {bad.tolist()} lie outside [0, {classes})")

@@ -19,7 +19,7 @@ from .._checks import is_int
 from ..optimizer import OptimizerConfig, update_tensor
 from ..rng import RngState
 from .data import Dataset
-from .loss import cross_entropy
+from .loss import check_labels, cross_entropy
 from .network import Network
 
 __all__ = ["TrainProtocol", "MetricsRecord", "MetricsLog", "train", "evaluate"]
@@ -101,7 +101,8 @@ def evaluate(net: Network, dataset: Dataset) -> float:
     in its batch-innermost eval layout. Eval-mode layers treat images
     independently, so the chunk size moves logits only by float rounding;
     it sets the memory traffic, since at 512 images per forward every
-    activation goes out to main memory and back.
+    activation goes out to main memory and back. A label outside the
+    network's classes raises as in ``cross_entropy``.
     """
     if len(dataset) == 0:
         raise ValueError("evaluation set is empty")
@@ -109,7 +110,9 @@ def evaluate(net: Network, dataset: Dataset) -> float:
     for lo in range(0, len(dataset), EVAL_CHUNK):
         x = dataset.images[lo : lo + EVAL_CHUNK]
         logits, _ = net.forward(x, training=False)
-        hits += int((logits.argmax(axis=1) == dataset.labels[lo : lo + EVAL_CHUNK]).sum())
+        labels = dataset.labels[lo : lo + EVAL_CHUNK]
+        check_labels(labels, logits.shape[1])  # an out-of-range label would score as a miss
+        hits += int((logits.argmax(axis=1) == labels).sum())
     return hits / len(dataset)
 
 

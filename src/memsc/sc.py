@@ -38,7 +38,6 @@ __all__ = [
     "scaled_add",
     "negate",
     "lfsr_stream",
-    "lfsr_period",
 ]
 
 
@@ -171,39 +170,32 @@ LFSR_TAPS = (16, 15, 13, 4)  # 1-indexed; tap 16 makes every state recur
 class LfsrState:
     """Fibonacci LFSR over LFSR_WIDTH bits with the LFSR_TAPS polynomial.
 
-    The register must be a Python or numpy int; it is stored as a Python int.
+    The register, a Python or numpy int in [1, 2**LFSR_WIDTH - 1], is stored
+    as a Python int; ``words`` is the one shift rule.
     """
 
     register: int = 0xACE1
 
     def __post_init__(self):
-        if not is_int(self.register):
-            raise ValueError(f"register must be an int, got {self.register!r}")
+        top = (1 << LFSR_WIDTH) - 1
+        # a wider value would alias onto its low bits, and all-zero never leaves zero
+        if not (is_int(self.register) and 1 <= self.register <= top):
+            raise ValueError(f"register must be an int in [1, {top}], got {self.register!r}")
         # a numpy uint64 would not mix with words()'s int64 shift arrays
-        self.register = int(self.register) & ((1 << LFSR_WIDTH) - 1)
-        if self.register == 0:
-            raise ValueError("LFSR register must not be all-zero")
-
-    def step(self) -> int:
-        """Return the current register word, then advance one shift."""
-        word = self.register
-        feedback = 0
-        for t in LFSR_TAPS:
-            feedback ^= (self.register >> (t - 1)) & 1
-        self.register = ((self.register << 1) | feedback) & ((1 << LFSR_WIDTH) - 1)
-        return word
+        self.register = int(self.register)
 
     def words(self, count: int) -> np.ndarray:
-        """The next ``count`` register words, as ``count`` calls of ``step()`` give them.
+        """The next ``count`` register words; the register is left after ``count`` shifts.
 
-        Let a[0..w-1] be the register bits oldest first (a[w-1-b] is bit b).
-        Each step shifts in a[j] = XOR_t a[j-t] for j >= w, and word i is
-        the OR of a[w-1-b+i] << b. Over GF(2) the feedback polynomial obeys
+        One shift emits the register, then shifts it left by one bit and
+        brings in the XOR of bit t - 1 over the taps t. Let a[0..w-1] be the
+        register bits oldest first (a[w-1-b] is bit b). Each shift appends
+        a[j] = XOR_t a[j-t] for j >= w, and word i is the OR of
+        a[w-1-b+i] << b. Over GF(2) the feedback polynomial obeys
         Q(x)^2 = Q(x^2), so by induction a[j] = XOR_t a[j - t*2^k] holds for
         j >= w + (2^k - 1)*max(taps). The sequence is filled in blocks of
         min(taps)*2^k bits, one XOR of slices each, raising k as soon as the
-        condition allows. ``step()`` is the one-step reference. The register
-        is left after ``count`` steps.
+        condition allows.
         """
         if not is_int(count) or count < 0:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
@@ -241,17 +233,3 @@ def lfsr_stream(value: float, length: int, priori: Priori, lfsr: LfsrState) -> B
     p = _priori_probability(value, priori)
     threshold = p * (1 << LFSR_WIDTH)
     return BitStream(lfsr.words(length) < threshold, priori)
-
-
-def lfsr_period(lfsr: LfsrState) -> int:
-    """Number of steps until the register state recurs (full period check).
-
-    The maximal-length taps give 2**LFSR_WIDTH - 1.
-    """
-    probe = LfsrState(lfsr.register)
-    probe.step()
-    n = 1
-    while probe.register != lfsr.register:
-        probe.step()
-        n += 1
-    return n

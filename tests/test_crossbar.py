@@ -102,7 +102,6 @@ def test_power_raw_matches_literal_formula():
     assert report.p_read_gradient_raw_w == pytest.approx(expected, rel=1e-12)
     assert report.p_read_gradient_raw_w == pytest.approx(399.1e-6, rel=1e-3)
     # the calibrated powers are the fixed kappa times the raw ones
-    assert report.calibration_kappa == DEFAULT_KAPPA
     assert report.p_read_gradient_w == DEFAULT_KAPPA * report.p_read_gradient_raw_w
     assert report.p_read_weight_w == DEFAULT_KAPPA * report.p_read_weight_raw_w
 
@@ -115,7 +114,6 @@ def test_power_calibrated_matches_published_figures():
     assert report.static_power_cap_w == pytest.approx(83.5e-6, rel=0.03)
     # raw value always reported alongside
     assert report.p_read_gradient_raw_w == pytest.approx(399.1e-6, rel=1e-3)
-    assert report.calibration_kappa == DEFAULT_KAPPA
 
 
 def test_published_report_is_pinned_bit_for_bit():

@@ -307,6 +307,13 @@ def test_cross_entropy_labels_outside_classes_rejected(bad):
         cross_entropy(logits, np.array([2, bad, 2]))
 
 
+@pytest.mark.parametrize("labels", [np.array([0.5, 1.0]), np.array([True, False]), [0, 1]])
+def test_cross_entropy_non_integer_labels_rejected(labels):
+    # floats and bools raised numpy's IndexError, a list AttributeError
+    with pytest.raises(ValueError, match="labels must be an integer array"):
+        cross_entropy(np.zeros((2, 3)), labels)
+
+
 # ---------------------------------------------------------------------------
 # network-level contracts
 # ---------------------------------------------------------------------------

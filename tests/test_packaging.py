@@ -3,7 +3,8 @@
 oracle, as is every public method and property of an exported class, the
 package imports nothing beyond the standard library and numpy, every
 parameter of an exported function is read, its dataclasses are frozen
-values, and each config's settings are the ones listed here."""
+values, and each config's settings and each report's fields are the ones
+listed here."""
 
 import ast
 import dataclasses
@@ -16,17 +17,16 @@ from pathlib import Path
 import pytest
 
 import memsc
-from memsc.crossbar import TileConfig
+from memsc.crossbar import CostReport, TileConfig
 from memsc.device import DeviceParams
-from memsc.nn.train import TrainProtocol
+from memsc.nn.train import MetricsRecord, TrainProtocol
 from memsc.optimizer import OptimizerConfig
 from memsc.sc import LfsrState
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
-# Public only so that tests can check against them: the one way real MNIST
-# enters, and the LFSR period.
-TEST_ORACLES = {"load_idx", "lfsr_period"}
+# Public only so that tests can check against it: the one way real MNIST enters.
+TEST_ORACLES = {"load_idx"}
 # Every setting of every config and the LFSR, in field order: a new setting edits this list.
 CONFIG_FIELDS = {
     OptimizerConfig: ("mode", "eta", "gamma", "n_bit", "exec_mode"),
@@ -34,6 +34,16 @@ CONFIG_FIELDS = {
     TileConfig: (),
     DeviceParams: ("v_prog", "cell_jitter"),
     LfsrState: ("register",),
+}
+# Every field of every report, in field order: a report is written out whole,
+# so a new field edits this list before it enters a file format.
+REPORT_FIELDS = {
+    CostReport: ("rram_area_mm2", "xnor_area_mm2", "adder_register_area_mm2",
+                 "sense_amp_area_mm2", "total_area_mm2", "p_read_gradient_raw_w",
+                 "p_read_weight_raw_w", "p_read_gradient_w", "p_read_weight_w",
+                 "total_power_w", "static_power_cap_w"),
+    MetricsRecord: ("run_id", "epoch", "minibatch", "train_loss", "test_accuracy",
+                    "e_grad_stat", "wall_time_s"),
 }
 
 
@@ -164,3 +174,9 @@ def test_config_settings_are_pinned():
     # published constants and fixed choices are module constants, not fields
     fields = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in CONFIG_FIELDS}
     assert fields == CONFIG_FIELDS
+
+
+def test_report_fields_are_pinned():
+    # a field that no code computes or reads would still be frozen into the format
+    fields = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in REPORT_FIELDS}
+    assert fields == REPORT_FIELDS

@@ -18,13 +18,13 @@ from memsc.crossbar import TileConfig, generate_stream
 from memsc.device import DeviceParams
 from memsc.rng import RngState
 from memsc.sc import (
+    LFSR_TAPS,
     LFSR_WIDTH,
     BitStream,
     LfsrState,
     Priori,
     decode,
     encode,
-    lfsr_period,
     lfsr_stream,
     negate,
     scaled_add,
@@ -408,12 +408,31 @@ def test_lfsr_full_period_half_probability():
 
 
 def test_lfsr_default_taps_are_maximal():
-    assert lfsr_period(LfsrState()) == (1 << 16) - 1
+    # one period visits every nonzero state once and comes back to the start;
+    # a period count alone would not show that every state is visited
+    lfsr = LfsrState()
+    words = lfsr.words(2**16 - 1)
+    assert np.array_equal(np.sort(words), np.arange(1, 2**16))
+    assert lfsr.register == LfsrState().register
 
 
 def test_lfsr_zero_register_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"register must be an int in \[1, 65535\], got 0"):
         LfsrState(register=0)
+
+
+@pytest.mark.parametrize("register", [-1, 0x10000, 0x1ACE1, np.int64(-1), np.uint64(0x10000)])
+def test_lfsr_out_of_range_register_rejected(register):
+    # these were masked: -1 ran as 0xFFFF, 0x1ACE1 as 0xACE1, and 0x10000
+    # was called all-zero
+    with pytest.raises(ValueError, match=r"register must be an int in \[1, 65535\]"):
+        LfsrState(register)
+
+
+@pytest.mark.parametrize("register", [np.uint64(0xFFFF), 1, 0xFFFF])
+def test_lfsr_in_range_register_builds(register):
+    lfsr = LfsrState(register)
+    assert type(lfsr.register) is int and lfsr.register == int(register)
 
 
 @pytest.mark.parametrize("register", [3.5, True])
@@ -428,7 +447,7 @@ def test_lfsr_accepts_numpy_int_fields(dtype):
     # the register is stored as an int: uint64 does not mix with words()'s int64 arrays
     lfsr, ref = LfsrState(dtype(0xACE1)), LfsrState()
     assert np.array_equal(lfsr.words(64), ref.words(64))
-    assert lfsr.step() == ref.step()
+    assert lfsr.register == ref.register
 
 
 def test_lfsr_negative_count_rejected():
@@ -452,7 +471,16 @@ def test_lfsr_stream_non_positive_length_rejected(length):
 
 
 def stepped_words(lfsr, count):
-    return np.array([lfsr.step() for _ in range(count)], dtype=np.int64)
+    # the one-shift reference, worked out from LFSR_TAPS without words():
+    # emit the register, XOR in bit t - 1 for each tap t, shift left and mask
+    out = []
+    for _ in range(count):
+        out.append(lfsr.register)
+        feedback = 0
+        for t in LFSR_TAPS:
+            feedback ^= (lfsr.register >> (t - 1)) & 1
+        lfsr.register = ((lfsr.register << 1) | feedback) & ((1 << LFSR_WIDTH) - 1)
+    return np.array(out, dtype=np.int64)
 
 
 @st.composite

@@ -295,6 +295,25 @@ def test_evaluate_constant_predictor():
     assert acc == pytest.approx(expected, abs=1e-12)
 
 
+def test_labels_outside_the_networks_classes_rejected():
+    # the 10-class test set scored 0.1875 on the 3-class net: training labels
+    # passed cross_entropy's check, and held-out ones were never checked
+    train_set = synthetic_dataset(64, seed=0, classes=3, size=6)
+    run = (OptimizerConfig(exec_mode="float"), TrainProtocol(batch_size=32))
+    wide = synthetic_dataset(16, seed=3, classes=10, size=6)
+    with pytest.raises(ValueError, match=r"labels \[8, 8, 8, 5, 3, 4, 6, 4\] lie outside \[0, 3\)"):
+        evaluate(reduced_network(RngState(0)), wide)
+    with pytest.raises(ValueError, match=r"lie outside \[0, 3\)"):
+        train(reduced_network(RngState(0)), train_set, wide, *run)
+    # in-range labels score as before the check
+    narrow = synthetic_dataset(16, seed=3, classes=3, size=6)
+    net = reduced_network(RngState(0))
+    log = train(net, train_set, narrow, *run)
+    logits, _ = net.forward(narrow.images, training=False)
+    assert log.final_accuracy() == evaluate(net, narrow) == np.mean(
+        logits.argmax(axis=1) == narrow.labels)
+
+
 def test_evaluate_scale_invariance(blobs):
     _, test_set = blobs
     net = table1_network(RngState(11))
